@@ -33,13 +33,13 @@ from .modnum import (
 )
 from .pauli import PauliWord, PureState, expectation, phase_value
 from .protocol import (
+    BOTH,
     ENCODER_DIM_LIMIT,
+    NONE,
     CapacityError,
     ReducedState,
     RegisterSubset,
-    bell_state,
     kron_all,
-    partial_trace,
     permute_subsystems,
 )
 
@@ -183,56 +183,59 @@ def missing_pair_reduced(d: int, n: int, missing: int) -> ReducedState:
     Input-independent: a uniform mixture over the d^2 Bell-basis states,
     each surviving pair carrying the same basis label,
 
-        (1/d^2) sum_{k,l} (|phi_kl><phi_kl|)^{(x)(n-1)}.
+        (1/d^2) sum_{k,l} (|phi_kl><phi_kl|)^{(x)(n-1)},
 
-    Returned over canonical order (signals ascending, then noises), which
-    for n > 2 differs from the pairwise order the mixture is naturally built
-    in, so the factors are permuted at the end.
+    over canonical order (signals ascending, then noises).  This is
+    :func:`missing_pair_subset_reduced` of the subset that keeps every
+    other pair whole.
     """
     require_dim(d)
     if n < 1:
         raise ValueError(f"need at least one pair, got n={n}")
     if not 1 <= missing <= n:
         raise ValueError(f"missing pair {missing} outside 1..{n}")
-    rest = [i for i in range(1, n + 1) if i != missing]
-    r = len(rest)
-    if r == 0:
+    if n == 1:
         return ReducedState(d=d, labels=(), matrix=np.ones((1, 1), dtype=complex))
-    side = d ** (2 * r)
-    if side > ENCODER_DIM_LIMIT:
-        raise CapacityError(
-            f"reduced side d^(2(n-1)) = {side} exceeds limit {ENCODER_DIM_LIMIT}"
-        )
-    phi = bell_state(d)
-    eye = np.eye(d, dtype=complex)
-    acc = np.zeros((side, side), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            pair = np.kron(PauliWord(d, a=k, b=l).matrix(), eye) @ phi
-            vec = np.ones(1, dtype=complex)
-            for _ in range(r):
-                vec = np.kron(vec, pair)
-            acc += np.outer(vec, vec.conj())
-    acc /= d * d
-    pairwise = [lab for i in rest for lab in (f"S{i}", f"N{i}")]
-    canonical = [f"S{i}" for i in rest] + [f"N{i}" for i in rest]
-    perm = [pairwise.index(lab) for lab in canonical]
-    matrix = permute_subsystems(acc, (d,) * (2 * r), perm)
-    return ReducedState(d=d, labels=tuple(canonical), matrix=matrix)
+    members = [BOTH] * n
+    members[missing - 1] = NONE
+    return missing_pair_subset_reduced(d, n, RegisterSubset(tuple(members)))
 
 
 def missing_pair_subset_reduced(d: int, n: int, subset: RegisterSubset) -> ReducedState:
     """Closed-form state of any subset missing at least one whole pair.
 
-    Starts from the surviving-pairs mixture of one missing pair and traces
-    off the remaining unselected qudits numerically.  Still input-free.
+    Input-free: the m complete pairs the subset keeps share one Bell label,
+    and every lone kept qudit is I/d,
+
+        (1/d^2) sum_{k,l} (|phi_kl><phi_kl|)^{(x)m} (x) (I/d)^{(x)lone},
+
+    permuted from that pairwise order to canonical order.  For m <= 1 this
+    is I/d^size.  Raises CapacityError when the kept side d^size exceeds
+    ``ENCODER_DIM_LIMIT``.
     """
+    require_dim(d)
     if subset.n != n:
         raise ValueError(f"subset spans {subset.n} pairs, register has {n}")
     if subset.touches_all_pairs:
         raise ValueError(f"subset {subset} touches every pair; no pair is missing")
-    base = missing_pair_reduced(d, n, subset.missing_pairs[0])
     kept = subset.kept_labels()
-    keep_idx = [base.labels.index(lab) for lab in kept]
-    matrix = partial_trace(base.matrix, (d,) * base.num_qudits, keep_idx)
+    side = d ** len(kept)
+    if side > ENCODER_DIM_LIMIT:
+        raise CapacityError(
+            f"kept side d^size = {side} exceeds limit {ENCODER_DIM_LIMIT}"
+        )
+    # (X^k Z^l (x) I)|phi> lists the entries of X^k Z^l row by row, over sqrt(d)
+    bell = np.array(
+        [PauliWord(d, a=k, b=l).matrix().reshape(-1) for k in range(d) for l in range(d)]
+    ) / np.sqrt(d)
+    vecs = np.ones((d * d, 1), dtype=complex)
+    for _ in subset.full_pairs:
+        vecs = (vecs[:, :, None] * bell[:, None, :]).reshape(d * d, -1)
+    pairwise = [lab for i in subset.full_pairs for lab in (f"S{i}", f"N{i}")]
+    lone = [lab for lab in kept if lab not in pairwise]
+    lone_side = d ** len(lone)
+    matrix = np.kron(vecs.T @ vecs.conj() / (d * d), np.eye(lone_side) / lone_side)
+    order = pairwise + lone
+    perm = [order.index(lab) for lab in kept]
+    matrix = permute_subsystems(matrix, (d,) * len(kept), perm)
     return ReducedState(d=d, labels=kept, matrix=matrix)

@@ -14,7 +14,7 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .analytic import (
     leaked_words,
     missing_pair_subset_reduced,
 )
+from .modnum import require_dim
 from .pauli import PureState, random_states
 from .protocol import (
     CapacityError,
@@ -69,6 +70,7 @@ def classify_subset(d: int, subset: RegisterSubset) -> Classification:
     averages to the identity.  What remains is exactly the aligned case,
     where the gcd criterion decides.
     """
+    require_dim(d)
     if is_authorized(subset):
         return Classification(FULLY_INFORMATIVE, True, False)
     if not subset.touches_all_pairs:
@@ -128,10 +130,7 @@ def numeric_independence_test(
     """Largest pairwise trace distance of oracle states over seeded inputs."""
     states = random_states(d, samples, seed)
     reduced = [reduce_encoded(encode(psi, d, n), d, n, subset) for psi in states]
-    worst = 0.0
-    for i in range(len(reduced)):
-        for j in range(i + 1, len(reduced)):
-            worst = max(worst, trace_distance(reduced[i], reduced[j]))
+    worst = _max_pairwise(reduced)
     return IndependenceResult(worst <= tol, worst)
 
 
@@ -194,22 +193,9 @@ class SweepRow:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "subset": self.subset,
-            "p": self.p,
-            "q": self.q,
-            "g": self.g,
-            "verdict": self.verdict,
-            "authorized": self.authorized,
-            "maximally_mixed": self.maximally_mixed,
-            "leak_terms": [t.to_dict() for t in self.leak_terms],
-            "oracle_max_distance": self.oracle_max_distance,
-            "analytic_oracle_distance": self.analytic_oracle_distance,
-            "agree": self.agree,
-            "note": self.note,
-        }
+        rec = {f.name: getattr(self, f.name) for f in fields(self)}
+        rec["leak_terms"] = [t.to_dict() for t in self.leak_terms]
+        return rec
 
 
 @dataclass(frozen=True)
@@ -239,23 +225,9 @@ class SweepReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        fields = [
-            "d",
-            "n",
-            "subset",
-            "p",
-            "q",
-            "g",
-            "verdict",
-            "authorized",
-            "maximally_mixed",
-            "leak_terms",
-            "oracle_max_distance",
-            "analytic_oracle_distance",
-            "agree",
-            "note",
-        ]
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(
+            buf, fieldnames=[f.name for f in fields(SweepRow)], lineterminator="\n"
+        )
         writer.writeheader()
         for row in self.rows:
             rec = row.to_dict()
@@ -333,11 +305,9 @@ def _subsets_for(config: SweepConfig, n: int) -> list[RegisterSubset]:
 
 
 def _max_pairwise(states: Sequence[ReducedState]) -> float:
-    worst = 0.0
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            worst = max(worst, trace_distance(states[i], states[j]))
-    return worst
+    return max(
+        (trace_distance(a, b) for a, b in itertools.combinations(states, 2)), default=0.0
+    )
 
 
 def evaluate_subset(
@@ -378,20 +348,14 @@ def evaluate_subset(
 
     notes: list[str] = []
     analytic_dist: float | None = None
-    try:
-        if cls.verdict == PARTIALLY_INFORMATIVE or (
-            cls.verdict == COMPLETELY_UNINFORMATIVE and subset.is_aligned
-        ):
-            desc = AlignedDescriptor(d=d, n=n, p=subset.signal_count)
+    if not cls.authorized:
+        try:
             analytic_dist = max(
-                trace_distance(aligned_reduced(psi, desc), rho)
+                trace_distance(analytic_reduced(d, subset, psi), rho)
                 for psi, rho in zip(states, reduced)
             )
-        elif not subset.touches_all_pairs:
-            closed = missing_pair_subset_reduced(d, n, subset)
-            analytic_dist = max(trace_distance(closed, rho) for rho in reduced)
-    except CapacityError as exc:
-        notes.append(f"capacity: {exc}")
+        except CapacityError as exc:
+            notes.append(f"capacity: {exc}")
 
     agree = True
     if analytic_dist is not None and analytic_dist > tol:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -133,14 +134,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(report.to_table())
     print(report.summary())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-        print(f"wrote {args.json}")
+        _write_report(args.json, report.to_json() + "\n")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
-        print(f"wrote {args.csv}")
+        _write_report(args.csv, report.to_csv())
     return 0 if report.all_agree else 1
+
+
+def _write_report(path: str, text: str) -> None:
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text, encoding="utf-8")
+    print(f"wrote {path}")
 
 
 def _add_register_args(sub: argparse.ArgumentParser) -> None:

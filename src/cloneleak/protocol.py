@@ -294,9 +294,10 @@ def build_encoder(d: int, n: int) -> np.ndarray:
 def encode(psi: PureState, d: int, n: int) -> np.ndarray:
     """Encoded register statevector in the fixed global layout.
 
-    Built branch by branch: the (k, l) branch is
-    c_kl * (X^k Z^l |psi>) (x) ((X^k Z^l (x) I)|Bell>)^{(x)n}, all summed and
-    divided by d.  This never materializes the encoder, so it reaches
+    The (k, l) branch is c_kl * (X^k Z^l |psi>) (x) ((X^k Z^l (x) I)|Bell>)^{(x)n};
+    the branches are summed and divided by d.  All d^2 branches are built
+    together, one row each, and the last pair factor and the sum over branches
+    are one matmul.  This never materializes the encoder, so it reaches
     register sizes the dense unitary cannot.
     """
     require_dim(d)
@@ -308,18 +309,15 @@ def encode(psi: PureState, d: int, n: int) -> np.ndarray:
         raise CapacityError(
             f"register size d^(2n+1) = {total} exceeds limit {STATE_AMPLITUDE_LIMIT}"
         )
-    phi = bell_state(d)
-    eye = np.eye(d, dtype=complex)
-    acc = np.zeros(total, dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            w = PauliWord(d, a=k, b=l).matrix()
-            pair = np.kron(w, eye) @ phi
-            branch = w @ psi.amplitudes
-            for _ in range(n):
-                branch = np.kron(branch, pair)
-            acc += enc_coefficient_value(d, k, l) * branch
-    return acc / d
+    kl = [(k, l) for k in range(d) for l in range(d)]
+    words = np.array([PauliWord(d, a=k, b=l).matrix() for k, l in kl])
+    coeffs = np.array([enc_coefficient_value(d, k, l) for k, l in kl])
+    branches = coeffs[:, None] * (words @ psi.amplitudes)
+    # np.kron keeps the leading branch axis: row (k, l) is (X^k Z^l (x) I)|Bell>
+    pairs = np.kron(words, np.eye(d)) @ bell_state(d)
+    for _ in range(n - 1):
+        branches = (branches[:, :, None] * pairs[:, None, :]).reshape(d * d, -1)
+    return (branches.T @ pairs).reshape(-1) / d
 
 
 def reduce_encoded(vec: np.ndarray, d: int, n: int, subset: RegisterSubset) -> ReducedState:

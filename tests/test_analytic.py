@@ -1,5 +1,7 @@
 """Closed-form reduced states against the contraction oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,6 +21,8 @@ from cloneleak.classify import trace_distance
 from cloneleak.modnum import satisfies_system
 from cloneleak.pauli import PauliWord, PureState, expectation, phase_value, random_states
 from cloneleak.protocol import (
+    MEMBERSHIPS,
+    NONE,
     CapacityError,
     RegisterSubset,
     kron_all,
@@ -301,21 +305,24 @@ def test_missing_pair_reduced_validation():
     with pytest.raises(ValueError):
         missing_pair_reduced(3, 2, 3)
     with pytest.raises(CapacityError):
-        missing_pair_reduced(5, 4, 1)  # 5^6 survivors overflow the guard
+        missing_pair_reduced(5, 4, 1)  # a kept side of 5^6 overflows the guard
 
 
 def test_missing_pair_subset_reduced_matches_oracle():
+    # (2, 4) adds two complete pairs next to lone qudits
+    shapes = [(d, n) for d in (2, 3) for n in (1, 2, 3)] + [(2, 4)]
     cases = [
-        (2, 2, "S1"),
-        (3, 2, "N2"),
-        (2, 3, "S1,N1"),
-        (3, 3, "S1,N1,S2"),
-        (2, 3, "S2,N3"),
+        (d, n, RegisterSubset(members))
+        for d, n in shapes
+        for members in itertools.product(MEMBERSHIPS, repeat=n)
+        if NONE in members and set(members) != {NONE}
     ]
-    for d, n, labels in cases:
-        sub = RegisterSubset.from_labels(labels, n)
+    # two complete pairs at (5, 4): a kept side of 5^4, while the mixture
+    # over all surviving pairs would have side 5^6
+    cases.append((5, 4, RegisterSubset.from_labels("S1,N1,S2,N2", 4)))
+    for d, n, sub in cases:
         closed = missing_pair_subset_reduced(d, n, sub)
-        for psi in random_states(d, 3, seed=len(labels) + d):
+        for psi in random_states(d, 2, seed=sub.size + d):
             truth = oracle_reduced(psi, d, n, sub)
             assert closed.labels == truth.labels
             assert trace_distance(closed, truth) < 1e-10

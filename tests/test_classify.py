@@ -61,6 +61,14 @@ def test_classify_authorized():
     assert cls.leak == ()
 
 
+def test_classify_rejects_dimensions_below_two():
+    # authorized, missing-pair and aligned subsets all go through the same check
+    for d in (1, 0, -3):
+        for subset in (sub("S1,N1", 1), sub("S1,N1", 2), sub("S1,N2", 2)):
+            with pytest.raises(ValueError):
+                classify_subset(d, subset)
+
+
 def test_classify_partially_informative():
     cls = classify_subset(4, sub("S1,N2,N3", 3))
     assert cls.verdict == PARTIALLY_INFORMATIVE

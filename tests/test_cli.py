@@ -40,6 +40,13 @@ def test_classify_rejects_bad_labels(capsys):
     assert "error:" in err
 
 
+def test_classify_rejects_dimension_below_two(capsys):
+    code, out, err = run(capsys, "classify", "-d", "1", "-n", "1", "--subset", "S1,N1")
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
+
+
 def test_reduce_oracle_and_analytic_agree(capsys):
     args = ("-d", "3", "-n", "2", "--subset", "S1,N2", "--seed", "5", "--json")
     code, out_oracle, _ = run(capsys, "reduce", *args, "--method", "oracle")
@@ -116,8 +123,9 @@ def test_verify_exit_code_on_forced_mismatch(capsys):
 
 
 def test_sweep_writes_reports(tmp_path, capsys):
-    jpath = tmp_path / "report.json"
-    cpath = tmp_path / "report.csv"
+    # the report directory need not exist yet
+    jpath = tmp_path / "results" / "report.json"
+    cpath = tmp_path / "results" / "report.csv"
     code, out, _ = run(
         capsys,
         "sweep", "--dims", "2,3", "--ns", "1", "--samples", "4", "--seed", "2",

@@ -154,7 +154,7 @@ def test_encode_is_normalized():
 def test_encode_matches_dense_encoder_application():
     # independent route: build the unitary, apply it to psi (x) Bell^n with the
     # signal qudits gathered up front, then scatter axes back to the layout
-    for d, n in ((2, 1), (3, 1), (2, 2), (3, 2)):
+    for d, n in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)):
         psi = random_states(d, 1, seed=17 + d + n)[0]
         inp = psi.amplitudes
         for _ in range(n):
