@@ -36,11 +36,11 @@ from .protocol import (
     BOTH,
     ENCODER_DIM_LIMIT,
     NONE,
-    CapacityError,
     ReducedState,
     RegisterSubset,
     kron_all,
     permute_subsystems,
+    require_capacity,
 )
 
 
@@ -146,10 +146,7 @@ def aligned_reduced(psi: PureState, desc: AlignedDescriptor) -> ReducedState:
     if psi.d != desc.d:
         raise ValueError(f"state dimension {psi.d} does not match descriptor d={desc.d}")
     side = desc.d**desc.n
-    if side > ENCODER_DIM_LIMIT:
-        raise CapacityError(
-            f"reduced side d^n = {side} exceeds limit {ENCODER_DIM_LIMIT}"
-        )
+    require_capacity("reduced side d^n", side, ENCODER_DIM_LIMIT)
     acc = np.zeros((side, side), dtype=complex)
     for a, b in desc.solutions().solutions:
         coeff = phase_value(desc.d, aligned_coefficient_exponent(desc, a, b))
@@ -219,11 +216,7 @@ def missing_pair_subset_reduced(d: int, n: int, subset: RegisterSubset) -> Reduc
     if subset.touches_all_pairs:
         raise ValueError(f"subset {subset} touches every pair; no pair is missing")
     kept = subset.kept_labels()
-    side = d ** len(kept)
-    if side > ENCODER_DIM_LIMIT:
-        raise CapacityError(
-            f"kept side d^size = {side} exceeds limit {ENCODER_DIM_LIMIT}"
-        )
+    require_capacity("kept side d^size", d ** len(kept), ENCODER_DIM_LIMIT)
     # (X^k Z^l (x) I)|phi> lists the entries of X^k Z^l row by row, over sqrt(d)
     bell = np.array(
         [PauliWord(d, a=k, b=l).matrix().reshape(-1) for k in range(d) for l in range(d)]

@@ -14,7 +14,7 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -76,7 +76,7 @@ def classify_subset(d: int, subset: RegisterSubset) -> Classification:
     if not subset.touches_all_pairs:
         mixed = len(subset.full_pairs) <= 1
         return Classification(COMPLETELY_UNINFORMATIVE, False, mixed)
-    desc = AlignedDescriptor(d=d, n=subset.n, p=subset.signal_count)
+    desc = AlignedDescriptor.of_subset(d, subset)
     leak = leaked_words(desc)
     if leak:
         return Classification(PARTIALLY_INFORMATIVE, False, False, g=desc.g, leak=leak)
@@ -97,7 +97,7 @@ def analytic_reduced(
         return missing_pair_subset_reduced(d, subset.n, subset)
     if psi is None:
         raise ValueError("aligned closed form needs an input state")
-    return aligned_reduced(psi, AlignedDescriptor(d=d, n=subset.n, p=subset.signal_count))
+    return aligned_reduced(psi, AlignedDescriptor.of_subset(d, subset))
 
 
 def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.ndarray) -> float:
@@ -161,16 +161,7 @@ class SweepConfig:
             raise ValueError("tolerances must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "ns": list(self.ns),
-            "family": self.family,
-            "subsets": list(self.subsets),
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -238,40 +229,18 @@ class SweepReport:
         return buf.getvalue()
 
     def to_table(self) -> str:
-        headers = [
-            "d",
-            "n",
-            "subset",
-            "p",
-            "q",
-            "g",
-            "verdict",
-            "auth",
-            "mixed",
-            "leaks",
-            "oracle_max",
-            "analytic_dist",
-            "ok",
-        ]
-        body = []
-        for row in self.rows:
-            body.append(
-                [
-                    str(row.d),
-                    str(row.n),
-                    row.subset,
-                    "-" if row.p is None else str(row.p),
-                    "-" if row.q is None else str(row.q),
-                    "-" if row.g is None else str(row.g),
-                    row.verdict,
-                    "yes" if row.authorized else "no",
-                    "yes" if row.maximally_mixed else "no",
-                    str(len(row.leak_terms)),
-                    _fmt(row.oracle_max_distance),
-                    _fmt(row.analytic_oracle_distance),
-                    ("ok" if row.agree else "MISMATCH") + (f" [{row.note}]" if row.note else ""),
-                ]
-            )
+        short = {
+            "authorized": "auth",
+            "maximally_mixed": "mixed",
+            "leak_terms": "leaks",
+            "oracle_max_distance": "oracle_max",
+            "analytic_oracle_distance": "analytic_dist",
+            "agree": "ok",
+        }
+        # one column per SweepRow field; the note rides in the agree column
+        names = [f.name for f in fields(SweepRow) if f.name != "note"]
+        headers = [short.get(name, name) for name in names]
+        body = [[_cell(row, name) for name in names] for row in self.rows]
         widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h) for i, h in enumerate(headers)]
         lines = [
             "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
@@ -287,8 +256,20 @@ class SweepReport:
         )
 
 
-def _fmt(value: float | None) -> str:
-    return "-" if value is None else f"{value:.3e}"
+def _cell(row: SweepRow, name: str) -> str:
+    """One table cell: '-' for None, yes/no, 3-digit floats, term counts."""
+    value = getattr(row, name)
+    if name == "agree":
+        return ("ok" if value else "MISMATCH") + (f" [{row.note}]" if row.note else "")
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return f"{value:.3e}"
+    if isinstance(value, tuple):
+        return str(len(value))
+    return str(value)
 
 
 def _subsets_for(config: SweepConfig, n: int) -> list[RegisterSubset]:
@@ -315,11 +296,16 @@ def evaluate_subset(
     n: int,
     subset: RegisterSubset,
     states: Sequence[PureState],
-    encoded: Sequence[np.ndarray] | None,
+    encoded: Sequence[np.ndarray] | CapacityError,
     tol: float,
     witness: float,
 ) -> SweepRow:
-    """Classify one subset and replay the verdict against the oracle."""
+    """Classify one subset and replay the verdict against the oracle.
+
+    ``encoded`` holds the encoded registers of ``states``, or the
+    CapacityError that stopped them from being built; such a row is
+    skipped and its note gives the reason.
+    """
     cls = classify_subset(d, subset)
     p = subset.signal_count if subset.is_aligned else None
     q = subset.n - p if p is not None else None
@@ -335,13 +321,13 @@ def evaluate_subset(
         maximally_mixed=cls.maximally_mixed,
         leak_terms=cls.leak,
     )
-    if encoded is None:
+    if isinstance(encoded, CapacityError):
         return SweepRow(
             **common,
             oracle_max_distance=None,
             analytic_oracle_distance=None,
             agree=True,
-            note="capacity: register too large to encode",
+            note=f"capacity: {encoded}",
         )
     reduced = [reduce_encoded(vec, d, n, subset) for vec in encoded]
     oracle_max = _max_pairwise(reduced)
@@ -397,8 +383,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             states = random_states(d, config.samples, config.seed)
             try:
                 encoded = [encode(psi, d, n) for psi in states]
-            except CapacityError:
-                encoded = None
+            except CapacityError as exc:
+                encoded = exc
             for subset in subsets:
                 rows.append(
                     evaluate_subset(

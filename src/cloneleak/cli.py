@@ -1,4 +1,4 @@
-"""Command-line front end: classify, reduce, verify, sweep."""
+"""Command-line front end: classify, reduce, verify, sweep, table."""
 
 from __future__ import annotations
 
@@ -9,15 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import (
-    SweepConfig,
-    analytic_reduced,
-    classify_subset,
-    evaluate_subset,
-    run_sweep,
-)
+from .classify import SweepConfig, analytic_reduced, classify_subset, run_sweep
+from .modnum import system_gcd
 from .pauli import PureState, random_states
-from .protocol import CapacityError, RegisterSubset, encode, oracle_reduced
+from .protocol import CapacityError, RegisterSubset, oracle_reduced
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -97,18 +92,26 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    subset = RegisterSubset.from_labels(args.subset, args.n)
-    states = random_states(args.d, args.samples, args.seed)
-    try:
-        encoded = [encode(psi, args.d, args.n) for psi in states]
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return 2
-    row = evaluate_subset(
-        args.d, args.n, subset, states, encoded, args.tol, args.witness
+def _sweep_config(args: argparse.Namespace, **grid) -> SweepConfig:
+    """The grid given, replayed with the ``--samples --seed --tol --witness`` flags."""
+    return SweepConfig(
+        **grid,
+        samples=args.samples,
+        seed=args.seed,
+        tol=args.tol,
+        witness=args.witness,
     )
-    print(f"subset {subset} of a d={args.d}, n={args.n} register")
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    config = _sweep_config(
+        args, dims=(args.d,), ns=(args.n,), family="named", subsets=(args.subset,)
+    )
+    (row,) = run_sweep(config).rows
+    if row.oracle_max_distance is None:  # the register was too large to encode
+        print(row.note, file=sys.stderr)
+        return 2
+    print(f"subset {row.subset} of a d={row.d}, n={row.n} register")
     print(f"verdict: {row.verdict} (authorized={row.authorized}, g={row.g})")
     print(f"oracle max pairwise distance over {args.samples} inputs: {row.oracle_max_distance:.3e}")
     if row.analytic_oracle_distance is not None:
@@ -120,17 +123,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        dims=args.dims,
-        ns=args.ns,
-        family=args.family,
-        subsets=tuple(args.subset or ()),
-        samples=args.samples,
-        seed=args.seed,
-        tol=args.tol,
-        witness=args.witness,
+    report = run_sweep(
+        _sweep_config(
+            args, dims=args.dims, ns=args.ns, family=args.family, subsets=args.subset or ()
+        )
     )
-    report = run_sweep(config)
     print(report.to_table())
     print(report.summary())
     if args.json:
@@ -138,6 +135,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.csv:
         _write_report(args.csv, report.to_csv())
     return 0 if report.all_agree else 1
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    cells = [(n, p) for n in range(1, args.nmax + 1) for p in range(n + 1)]
+    header = ["d"] + [f"n{n}p{p}" for n, p in cells]
+    widths = [max(4, len(h)) for h in header]
+    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
+    for d in range(2, args.dmax + 1):
+        gs = [system_gcd(d, p, n - p) for n, p in cells]
+        row = [str(d)] + ["." if g == 1 else str(g) for g in gs]
+        print("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+    print()
+    print("cell value: solution count g of the aligned system; '.' means g=1,")
+    print("the subset is completely uninformative; g>1 words leak through")
+    return 0
 
 
 def _write_report(path: str, text: str) -> None:
@@ -155,6 +167,13 @@ def _add_register_args(sub: argparse.ArgumentParser) -> None:
         required=True,
         help="kept qudits, comma-separated labels like S1,N2",
     )
+
+
+def _add_replay_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--samples", type=int, default=10)
+    sub.add_argument("--seed", type=int, default=7)
+    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--witness", type=float, default=1e-6)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,10 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="replay one subset's verdict against the oracle")
     _add_register_args(ver)
-    ver.add_argument("--samples", type=int, default=10)
-    ver.add_argument("--seed", type=int, default=7)
-    ver.add_argument("--tol", type=float, default=1e-9)
-    ver.add_argument("--witness", type=float, default=1e-6)
+    _add_replay_args(ver)
     ver.set_defaults(func=cmd_verify)
 
     swp = sub.add_parser("sweep", help="replay a whole grid and report agreement")
@@ -208,13 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="subset labels for --family named; repeatable",
     )
-    swp.add_argument("--samples", type=int, default=10)
-    swp.add_argument("--seed", type=int, default=7)
-    swp.add_argument("--tol", type=float, default=1e-9)
-    swp.add_argument("--witness", type=float, default=1e-6)
+    _add_replay_args(swp)
     swp.add_argument("--json", metavar="PATH", help="write the report as JSON")
     swp.add_argument("--csv", metavar="PATH", help="write the report as CSV")
     swp.set_defaults(func=cmd_sweep)
+
+    tab = sub.add_parser("table", help="map of the aligned-subset leak count g over (d, n, p)")
+    tab.add_argument("--dmax", type=int, default=12, help="largest dimension (from 2)")
+    tab.add_argument("--nmax", type=int, default=5, help="largest pair count")
+    tab.set_defaults(func=cmd_table)
     return parser
 
 

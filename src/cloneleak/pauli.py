@@ -40,20 +40,6 @@ class PauliWord:
         object.__setattr__(self, "b", self.b % self.d)
         object.__setattr__(self, "r", self.r % (2 * self.d))
 
-    @classmethod
-    def identity(cls, d: int) -> "PauliWord":
-        return cls(d)
-
-    @classmethod
-    def shift(cls, d: int, k: int = 1) -> "PauliWord":
-        """X^k."""
-        return cls(d, a=k)
-
-    @classmethod
-    def clock(cls, d: int, k: int = 1) -> "PauliWord":
-        """Z^k."""
-        return cls(d, b=k)
-
     @property
     def phase(self) -> complex:
         return phase_value(self.d, self.r)
@@ -145,9 +131,6 @@ class PureState:
         """Haar-distributed state: complex Gaussian amplitudes, normalized."""
         amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         return cls(d, amps / np.linalg.norm(amps))
-
-    def ket(self) -> np.ndarray:
-        return self.amplitudes.copy()
 
 
 def random_states(d: int, count: int, seed: int) -> list[PureState]:

@@ -38,7 +38,24 @@ MEMBERSHIPS = (NONE, SIGNAL, NOISE, BOTH)
 
 
 class CapacityError(RuntimeError):
-    """Requested dense object exceeds the configured size guard."""
+    """Requested dense object exceeds the configured size guard.
+
+    ``what`` names the bounded object, ``size`` is what was asked for and
+    ``limit`` the guard it exceeds.
+    """
+
+    def __init__(self, what: str, size: int, limit: int) -> None:
+        super().__init__(what, size, limit)
+        self.what, self.size, self.limit = what, size, limit
+
+    def __str__(self) -> str:
+        return f"{self.what} = {self.size} exceeds limit {self.limit}"
+
+
+def require_capacity(what: str, size: int, limit: int) -> None:
+    """Raise CapacityError when a dense object of ``size`` would exceed ``limit``."""
+    if size > limit:
+        raise CapacityError(what, size, limit)
 
 
 def _require_pairs(n: int) -> None:
@@ -279,10 +296,7 @@ def build_encoder(d: int, n: int) -> np.ndarray:
     require_dim(d)
     _require_pairs(n)
     side = d ** (n + 1)
-    if side > ENCODER_DIM_LIMIT:
-        raise CapacityError(
-            f"encoder side d^(n+1) = {side} exceeds limit {ENCODER_DIM_LIMIT}"
-        )
+    require_capacity("encoder side d^(n+1)", side, ENCODER_DIM_LIMIT)
     out = np.zeros((side, side), dtype=complex)
     for k in range(d):
         for l in range(d):
@@ -304,11 +318,7 @@ def encode(psi: PureState, d: int, n: int) -> np.ndarray:
     _require_pairs(n)
     if psi.d != d:
         raise ValueError(f"state dimension {psi.d} does not match register dimension {d}")
-    total = d ** (2 * n + 1)
-    if total > STATE_AMPLITUDE_LIMIT:
-        raise CapacityError(
-            f"register size d^(2n+1) = {total} exceeds limit {STATE_AMPLITUDE_LIMIT}"
-        )
+    require_capacity("register size d^(2n+1)", d ** (2 * n + 1), STATE_AMPLITUDE_LIMIT)
     kl = [(k, l) for k in range(d) for l in range(d)]
     words = np.array([PauliWord(d, a=k, b=l).matrix() for k, l in kl])
     coeffs = np.array([enc_coefficient_value(d, k, l) for k, l in kl])

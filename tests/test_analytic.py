@@ -21,10 +21,14 @@ from cloneleak.classify import trace_distance
 from cloneleak.modnum import satisfies_system
 from cloneleak.pauli import PauliWord, PureState, expectation, phase_value, random_states
 from cloneleak.protocol import (
+    ENCODER_DIM_LIMIT,
     MEMBERSHIPS,
     NONE,
+    STATE_AMPLITUDE_LIMIT,
     CapacityError,
     RegisterSubset,
+    build_encoder,
+    encode,
     kron_all,
     oracle_reduced,
 )
@@ -347,3 +351,22 @@ def test_missing_pair_subset_requires_a_missing_pair():
         missing_pair_subset_reduced(2, 2, RegisterSubset.from_labels("S1,N2", 2))
     with pytest.raises(ValueError):
         missing_pair_subset_reduced(2, 2, RegisterSubset.from_labels("S1", 1))
+
+
+def test_capacity_errors_carry_what_size_and_limit():
+    # every dense-object guard names its object, the size asked for and the limit
+    psi10 = PureState.basis(10, 0)
+    psi5 = PureState.basis(5, 0)
+    guards = [
+        (lambda: build_encoder(10, 3), "encoder side d^(n+1)", 10**4, ENCODER_DIM_LIMIT),
+        (lambda: encode(psi10, 10, 4), "register size d^(2n+1)", 10**9, STATE_AMPLITUDE_LIMIT),
+        (lambda: aligned_reduced(psi5, AlignedDescriptor(5, 6, 1)), "reduced side d^n", 5**6,
+         ENCODER_DIM_LIMIT),
+        (lambda: missing_pair_reduced(5, 4, 1), "kept side d^size", 5**6, ENCODER_DIM_LIMIT),
+    ]
+    for build, what, size, limit in guards:
+        with pytest.raises(CapacityError) as info:
+            build()
+        exc = info.value
+        assert (exc.what, exc.size, exc.limit) == (what, size, limit)
+        assert str(exc) == f"{what} = {size} exceeds limit {limit}"

@@ -22,7 +22,7 @@ from cloneleak.classify import (
     trace_distance,
 )
 from cloneleak.pauli import random_states
-from cloneleak.protocol import ReducedState, RegisterSubset, encode
+from cloneleak.protocol import CapacityError, ReducedState, RegisterSubset, encode
 
 
 def sub(labels, n):
@@ -193,9 +193,10 @@ def test_evaluate_subset_row_contents():
 
 def test_evaluate_subset_capacity_row():
     states = random_states(2, 2, seed=0)
-    row = evaluate_subset(2, 2, sub("S1,N2", 2), states, None, tol=1e-9, witness=1e-6)
+    skipped = CapacityError("register size d^(2n+1)", 32, 16)
+    row = evaluate_subset(2, 2, sub("S1,N2", 2), states, skipped, tol=1e-9, witness=1e-6)
     assert row.agree
-    assert row.note.startswith("capacity")
+    assert row.note == "capacity: register size d^(2n+1) = 32 exceeds limit 16"
     assert row.oracle_max_distance is None
 
 
@@ -259,6 +260,8 @@ def test_run_sweep_capacity_rows_are_reported_not_fatal():
     assert report.all_agree
     assert len(report.skipped) == len(report.rows) == 4
     assert all(row.oracle_max_distance is None for row in report.rows)
+    note = f"capacity: register size d^(2n+1) = {30**7} exceeds limit 10000000"
+    assert all(row.note == note for row in report.rows)
 
 
 def test_run_sweep_detects_forced_mismatch():

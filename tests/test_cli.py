@@ -122,6 +122,25 @@ def test_verify_exit_code_on_forced_mismatch(capsys):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--samples", "1"), ("--tol", "-1"), ("--witness", "0")],
+    ids=["one-sample", "negative-tol", "zero-witness"],
+)
+def test_verify_rejects_replay_settings_the_sweep_rejects(capsys, flags):
+    code, out, err = run(capsys, "verify", "-d", "2", "-n", "1", "--subset", "S1", *flags)
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
+
+
+def test_verify_reports_capacity_on_stderr(capsys):
+    code, out, err = run(capsys, "verify", "-d", "7", "-n", "5", "--subset", "S1")
+    assert code == 2
+    assert out == ""
+    assert err == "capacity: register size d^(2n+1) = 1977326743 exceeds limit 10000000\n"
+
+
 def test_sweep_writes_reports(tmp_path, capsys):
     # the report directory need not exist yet
     jpath = tmp_path / "results" / "report.json"
@@ -173,5 +192,33 @@ def test_sweep_table_is_deterministic(capsys):
 def test_parser_lists_subcommands():
     parser = build_parser()
     text = parser.format_help()
-    for name in ("classify", "reduce", "verify", "sweep"):
+    for name in ("classify", "reduce", "verify", "sweep", "table"):
         assert name in text
+
+
+def table_cells(out):
+    """Leakage table as {d: {column: cell}}."""
+    lines = out.splitlines()
+    blank = lines.index("")
+    header = lines[0].split()
+    return {int(ln.split()[0]): dict(zip(header, ln.split())) for ln in lines[1:blank]}
+
+
+def test_table_cells_stated_in_readme(capsys):
+    code, out, _ = run(capsys, "table")
+    assert code == 0
+    cells = table_cells(out)
+    # a lone kept clone (n=1, p=1) always leaks, with g = d
+    assert all(row["n1p1"] == str(d) for d, row in cells.items())
+    assert cells[9]["n3p2"] == "3"
+    assert cells[4]["n3p1"] == "2"
+    assert cells[5]["n3p1"] == "."
+    assert "'.' means g=1" in out
+
+
+def test_table_bounds_rows_and_columns(capsys):
+    code, out, _ = run(capsys, "table", "--dmax", "7", "--nmax", "2")
+    assert code == 0
+    cells = table_cells(out)
+    assert sorted(cells) == [2, 3, 4, 5, 6, 7]
+    assert list(cells[2]) == ["d", "n1p0", "n1p1", "n2p0", "n2p1", "n2p2"]

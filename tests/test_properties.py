@@ -1,0 +1,57 @@
+"""Hypothesis properties of subset labels and the arithmetic verdicts."""
+
+import math
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cloneleak.classify import (
+    COMPLETELY_UNINFORMATIVE,
+    FULLY_INFORMATIVE,
+    PARTIALLY_INFORMATIVE,
+    classify_subset,
+)
+from cloneleak.protocol import BOTH, MEMBERSHIPS, NONE, SIGNAL, RegisterSubset
+
+subsets = (
+    st.integers(min_value=1, max_value=8)
+    .flatmap(lambda n: st.lists(st.sampled_from(MEMBERSHIPS), min_size=n, max_size=n))
+    .filter(lambda members: set(members) != {NONE})
+    .map(lambda members: RegisterSubset(tuple(members)))
+)
+dims = st.integers(min_value=2, max_value=16)
+
+
+@settings(deadline=None)
+@given(subset=subsets, shuffle_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_labels_round_trip(subset, shuffle_seed):
+    text = str(subset)
+    assert RegisterSubset.from_labels(text, subset.n) == subset
+    labels = text.split(",")
+    random.Random(shuffle_seed).shuffle(labels)
+    assert RegisterSubset.from_labels(",".join(labels), subset.n) == subset
+
+
+@settings(deadline=None)
+@given(d=dims, subset=subsets)
+def test_classification_matches_the_stated_rules(d, subset):
+    members = subset.members
+    full = members.count(BOTH)
+    cls = classify_subset(d, subset)
+    if NONE not in members and full:
+        assert cls.verdict == FULLY_INFORMATIVE and cls.authorized
+        return
+    assert not cls.authorized
+    if NONE in members:
+        assert cls.verdict == COMPLETELY_UNINFORMATIVE
+        assert cls.maximally_mixed == (full <= 1)
+        return
+    p = members.count(SIGNAL)
+    g = math.gcd(d, p * (subset.n - p + 1) - 1)
+    assert cls.g == g
+    assert len(cls.leak) == g - 1
+    if g > 1:
+        assert cls.verdict == PARTIALLY_INFORMATIVE and not cls.maximally_mixed
+    else:
+        assert cls.verdict == COMPLETELY_UNINFORMATIVE and cls.maximally_mixed
