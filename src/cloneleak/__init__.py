@@ -17,14 +17,12 @@ from .analytic import (
     leaked_words,
     missing_pair_reduced,
     missing_pair_subset_reduced,
-    single_clone_reduced,
 )
 from .classify import (
     COMPLETELY_UNINFORMATIVE,
     FULLY_INFORMATIVE,
     PARTIALLY_INFORMATIVE,
     Classification,
-    IndependenceResult,
     SweepConfig,
     SweepReport,
     SweepRow,
@@ -33,7 +31,6 @@ from .classify import (
     evaluate_subset,
     is_authorized,
     maximally_mixed,
-    numeric_independence_test,
     run_sweep,
     trace_distance,
 )
@@ -58,6 +55,7 @@ from .pauli import (
 )
 from .protocol import (
     ENCODER_DIM_LIMIT,
+    REDUCED_SIDE_LIMIT,
     STATE_AMPLITUDE_LIMIT,
     CapacityError,
     ReducedState,
@@ -82,11 +80,11 @@ __all__ = [
     "COMPLETELY_UNINFORMATIVE",
     "ENCODER_DIM_LIMIT",
     "FULLY_INFORMATIVE",
-    "IndependenceResult",
     "LeakTerm",
     "PARTIALLY_INFORMATIVE",
     "PauliWord",
     "PureState",
+    "REDUCED_SIDE_LIMIT",
     "ReducedState",
     "Register",
     "RegisterSubset",
@@ -114,7 +112,6 @@ __all__ = [
     "maximally_mixed",
     "missing_pair_reduced",
     "missing_pair_subset_reduced",
-    "numeric_independence_test",
     "oracle_reduced",
     "partial_trace",
     "permute_subsystems",
@@ -123,7 +120,6 @@ __all__ = [
     "reduce_encoded",
     "run_sweep",
     "satisfies_system",
-    "single_clone_reduced",
     "solve_aligned_system",
     "system_gcd",
     "trace_distance",

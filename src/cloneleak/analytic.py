@@ -34,8 +34,8 @@ from .modnum import (
 from .pauli import PauliWord, PureState, expectation, phase_value
 from .protocol import (
     BOTH,
-    ENCODER_DIM_LIMIT,
     NONE,
+    REDUCED_SIDE_LIMIT,
     ReducedState,
     RegisterSubset,
     kron_all,
@@ -146,7 +146,7 @@ def aligned_reduced(psi: PureState, desc: AlignedDescriptor) -> ReducedState:
     if psi.d != desc.d:
         raise ValueError(f"state dimension {psi.d} does not match descriptor d={desc.d}")
     side = desc.d**desc.n
-    require_capacity("reduced side d^n", side, ENCODER_DIM_LIMIT)
+    require_capacity("reduced side d^n", side, REDUCED_SIDE_LIMIT)
     acc = np.zeros((side, side), dtype=complex)
     for a, b in desc.solutions().solutions:
         coeff = phase_value(desc.d, aligned_coefficient_exponent(desc, a, b))
@@ -156,22 +156,6 @@ def aligned_reduced(psi: PureState, desc: AlignedDescriptor) -> ReducedState:
         acc += amp * kron_all([sig] * desc.p + [noi] * desc.q)
     labels = RegisterSubset.aligned(desc.n, desc.p).kept_labels()
     return ReducedState(d=desc.d, labels=labels, matrix=acc / side)
-
-
-def single_clone_reduced(psi: PureState, d: int) -> ReducedState:
-    """One kept signal qudit at n = 1: (1/d) sum_a w^{-a^2} <X^a Z^{-a}> X^a Z^{-a}.
-
-    Specialization of the aligned formula to p = 1, q = 0, where the
-    congruence system pins b = -a and every residue a survives (g = d).
-    """
-    require_dim(d)
-    if psi.d != d:
-        raise ValueError(f"state dimension {psi.d} does not match d={d}")
-    acc = np.zeros((d, d), dtype=complex)
-    for a in range(d):
-        word = PauliWord(d, a=a, b=-a)
-        acc += phase_value(d, -2 * a * a) * expectation(psi, word) * word.matrix()
-    return ReducedState(d=d, labels=("S1",), matrix=acc / d)
 
 
 def missing_pair_reduced(d: int, n: int, missing: int) -> ReducedState:
@@ -208,7 +192,7 @@ def missing_pair_subset_reduced(d: int, n: int, subset: RegisterSubset) -> Reduc
 
     permuted from that pairwise order to canonical order.  For m <= 1 this
     is I/d^size.  Raises CapacityError when the kept side d^size exceeds
-    ``ENCODER_DIM_LIMIT``.
+    ``REDUCED_SIDE_LIMIT``.
     """
     require_dim(d)
     if subset.n != n:
@@ -216,7 +200,7 @@ def missing_pair_subset_reduced(d: int, n: int, subset: RegisterSubset) -> Reduc
     if subset.touches_all_pairs:
         raise ValueError(f"subset {subset} touches every pair; no pair is missing")
     kept = subset.kept_labels()
-    require_capacity("kept side d^size", d ** len(kept), ENCODER_DIM_LIMIT)
+    require_capacity("kept side d^size", d ** len(kept), REDUCED_SIDE_LIMIT)
     # (X^k Z^l (x) I)|phi> lists the entries of X^k Z^l row by row, over sqrt(d)
     bell = np.array(
         [PauliWord(d, a=k, b=l).matrix().reshape(-1) for k in range(d) for l in range(d)]

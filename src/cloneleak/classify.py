@@ -14,8 +14,9 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,10 +101,13 @@ def analytic_reduced(
     return aligned_reduced(psi, AlignedDescriptor.of_subset(d, subset))
 
 
+def _matrix(state: ReducedState | np.ndarray) -> np.ndarray:
+    return state.matrix if isinstance(state, ReducedState) else np.asarray(state, dtype=complex)
+
+
 def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.ndarray) -> float:
     """Half the absolute eigenvalue sum of the difference."""
-    a = first.matrix if isinstance(first, ReducedState) else np.asarray(first, dtype=complex)
-    b = second.matrix if isinstance(second, ReducedState) else np.asarray(second, dtype=complex)
+    a, b = _matrix(first), _matrix(second)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
@@ -112,26 +116,6 @@ def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.n
 def maximally_mixed(d: int, num_qudits: int) -> np.ndarray:
     side = d**num_qudits
     return np.eye(side, dtype=complex) / side
-
-
-class IndependenceResult(NamedTuple):
-    independent: bool
-    max_distance: float
-
-
-def numeric_independence_test(
-    d: int,
-    n: int,
-    subset: RegisterSubset,
-    samples: int = 10,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> IndependenceResult:
-    """Largest pairwise trace distance of oracle states over seeded inputs."""
-    states = random_states(d, samples, seed)
-    reduced = [reduce_encoded(encode(psi, d, n), d, n, subset) for psi in states]
-    worst = _max_pairwise(reduced)
-    return IndependenceResult(worst <= tol, worst)
 
 
 @dataclass(frozen=True)
@@ -179,7 +163,9 @@ class SweepRow:
     maximally_mixed: bool
     leak_terms: tuple[LeakTerm, ...]
     oracle_max_distance: float | None
+    oracle_max_bound: bool | None
     analytic_oracle_distance: float | None
+    analytic_bound: bool | None
     agree: bool
     note: str = ""
 
@@ -234,6 +220,7 @@ class SweepReport:
             "maximally_mixed": "mixed",
             "leak_terms": "leaks",
             "oracle_max_distance": "oracle_max",
+            "oracle_max_bound": "oracle_bound",
             "analytic_oracle_distance": "analytic_dist",
             "agree": "ok",
         }
@@ -285,9 +272,40 @@ def _subsets_for(config: SweepConfig, n: int) -> list[RegisterSubset]:
     return [RegisterSubset.from_labels(labels, n) for labels in config.subsets]
 
 
-def _max_pairwise(states: Sequence[ReducedState]) -> float:
-    return max(
-        (trace_distance(a, b) for a, b in itertools.combinations(states, 2)), default=0.0
+def _max_distance(
+    pairs: Sequence[tuple[ReducedState | np.ndarray, ReducedState | np.ndarray]],
+    tol: float,
+    witness: float,
+) -> tuple[float, bool]:
+    """Largest trace distance over ``pairs``, or a certified bound on it.
+
+    Every difference X obeys T(X) <= sqrt(side)/2 * ||X||_F.  When that
+    bound is <= tol and < witness for every pair, each gate reads the same
+    on the largest bound as on the exact maximum, so the bound is returned
+    with True.  Otherwise the exact maximum comes from ``trace_distance``,
+    with False.  Each norm is taken of the difference itself: through a
+    Gram matrix, ||a||^2 + ||b||^2 - 2 Re<a, b> cancels to about 1e-9 for
+    differences near 1e-16, which decides nothing.
+    """
+    bound = 0.0
+    for a, b in pairs:
+        x = _matrix(a) - _matrix(b)
+        pair_bound = 0.5 * math.sqrt(len(x)) * float(np.linalg.norm(x))
+        if not (pair_bound <= tol and pair_bound < witness):
+            return max(trace_distance(a, b) for a, b in pairs), False
+        bound = max(bound, pair_bound)
+    return bound, True
+
+
+def _capacity_row(common: dict, exc: CapacityError) -> SweepRow:
+    return SweepRow(
+        **common,
+        oracle_max_distance=None,
+        oracle_max_bound=None,
+        analytic_oracle_distance=None,
+        analytic_bound=None,
+        agree=True,
+        note=f"capacity: {exc}",
     )
 
 
@@ -303,8 +321,11 @@ def evaluate_subset(
     """Classify one subset and replay the verdict against the oracle.
 
     ``encoded`` holds the encoded registers of ``states``, or the
-    CapacityError that stopped them from being built; such a row is
-    skipped and its note gives the reason.
+    CapacityError that stopped them from being built; such a row, and one
+    whose oracle reduced states are too large, is skipped and its note
+    gives the reason.  A distance at or below ``tol`` may be reported as a
+    certified upper bound (see ``_max_distance``); its ``*_bound`` field
+    says so.
     """
     cls = classify_subset(d, subset)
     p = subset.signal_count if subset.is_aligned else None
@@ -322,26 +343,27 @@ def evaluate_subset(
         leak_terms=cls.leak,
     )
     if isinstance(encoded, CapacityError):
-        return SweepRow(
-            **common,
-            oracle_max_distance=None,
-            analytic_oracle_distance=None,
-            agree=True,
-            note=f"capacity: {encoded}",
-        )
-    reduced = [reduce_encoded(vec, d, n, subset) for vec in encoded]
-    oracle_max = _max_pairwise(reduced)
+        return _capacity_row(common, encoded)
+    try:
+        reduced = [reduce_encoded(vec, d, n, subset) for vec in encoded]
+    except CapacityError as exc:
+        return _capacity_row(common, exc)
+    oracle_max, oracle_bound = _max_distance(
+        list(itertools.combinations(reduced, 2)), tol, witness
+    )
 
     notes: list[str] = []
     analytic_dist: float | None = None
+    analytic_bound: bool | None = None
     if not cls.authorized:
         try:
-            analytic_dist = max(
-                trace_distance(analytic_reduced(d, subset, psi), rho)
-                for psi, rho in zip(states, reduced)
-            )
+            closed = [analytic_reduced(d, subset, psi) for psi in states]
         except CapacityError as exc:
             notes.append(f"capacity: {exc}")
+        else:
+            analytic_dist, analytic_bound = _max_distance(
+                list(zip(closed, reduced)), tol, witness
+            )
 
     agree = True
     if analytic_dist is not None and analytic_dist > tol:
@@ -352,9 +374,8 @@ def evaluate_subset(
         if not independent:
             agree = False
             notes.append("verdict says input-independent, oracle disagrees")
-        mixed_dist = max(
-            trace_distance(rho, maximally_mixed(d, subset.size)) for rho in reduced
-        )
+        mixed = maximally_mixed(d, subset.size)
+        mixed_dist, _ = _max_distance([(rho, mixed) for rho in reduced], tol, witness)
         if cls.maximally_mixed and mixed_dist > tol:
             agree = False
             notes.append("flagged maximally mixed, oracle disagrees")
@@ -368,7 +389,9 @@ def evaluate_subset(
     return SweepRow(
         **common,
         oracle_max_distance=oracle_max,
+        oracle_max_bound=oracle_bound,
         analytic_oracle_distance=analytic_dist,
+        analytic_bound=analytic_bound,
         agree=agree,
         note="; ".join(notes),
     )

@@ -103,19 +103,25 @@ def _sweep_config(args: argparse.Namespace, **grid) -> SweepConfig:
     )
 
 
+def _distance(value: float, bound: bool) -> str:
+    return f"≤ {value:.3e} (certified bound)" if bound else f"{value:.3e}"
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _sweep_config(
         args, dims=(args.d,), ns=(args.n,), family="named", subsets=(args.subset,)
     )
     (row,) = run_sweep(config).rows
-    if row.oracle_max_distance is None:  # the register was too large to encode
+    if row.oracle_max_distance is None:  # skipped: too large to encode or reduce
         print(row.note, file=sys.stderr)
         return 2
     print(f"subset {row.subset} of a d={row.d}, n={row.n} register")
     print(f"verdict: {row.verdict} (authorized={row.authorized}, g={row.g})")
-    print(f"oracle max pairwise distance over {args.samples} inputs: {row.oracle_max_distance:.3e}")
+    oracle_max = _distance(row.oracle_max_distance, row.oracle_max_bound)
+    print(f"oracle max pairwise distance over {args.samples} inputs: {oracle_max}")
     if row.analytic_oracle_distance is not None:
-        print(f"closed form vs oracle, worst distance: {row.analytic_oracle_distance:.3e}")
+        analytic = _distance(row.analytic_oracle_distance, row.analytic_bound)
+        print(f"closed form vs oracle, worst distance: {analytic}")
     print(f"agreement: {'ok' if row.agree else 'MISMATCH'}")
     if row.note:
         print(f"note: {row.note}")

@@ -28,10 +28,12 @@ from .modnum import require_dim
 from .pauli import PauliWord, PureState, enc_coefficient_value
 
 # Dense-object size guards.  The encoder is a d^(n+1) square matrix; the
-# encoded register is a d^(2n+1) statevector.  Exceeding either raises
-# CapacityError instead of silently allocating gigabytes.
+# encoded register is a d^(2n+1) statevector; a reduced state is a square
+# matrix whose side is d to the number of kept qudits.  Exceeding any of
+# them raises CapacityError instead of silently allocating gigabytes.
 ENCODER_DIM_LIMIT = 4096
 STATE_AMPLITUDE_LIMIT = 10_000_000
+REDUCED_SIDE_LIMIT = 4096
 
 NONE, SIGNAL, NOISE, BOTH = "none", "signal", "noise", "both"
 MEMBERSHIPS = (NONE, SIGNAL, NOISE, BOTH)
@@ -335,7 +337,8 @@ def reduce_encoded(vec: np.ndarray, d: int, n: int, subset: RegisterSubset) -> R
 
     The source qudit and every unselected register qudit are traced out by
     one transpose/reshape/matmul; the d^(2n+1) density matrix is never
-    formed.
+    formed.  Raises CapacityError when the kept side d^size exceeds
+    ``REDUCED_SIDE_LIMIT``.
     """
     reg = Register(d, n)
     if subset.n != n:
@@ -344,6 +347,7 @@ def reduce_encoded(vec: np.ndarray, d: int, n: int, subset: RegisterSubset) -> R
     if vec.shape != (reg.total_dim,):
         raise ValueError(f"expected {reg.total_dim} amplitudes, got {vec.shape}")
     labels = subset.kept_labels()
+    require_capacity("kept side d^size", d ** len(labels), REDUCED_SIDE_LIMIT)
     keep_axes = [reg.axis(lab) for lab in labels]
     traced = [ax for ax in range(reg.size) if ax not in keep_axes]
     tensor = vec.reshape((d,) * reg.size)

@@ -15,13 +15,8 @@ from cloneleak.analytic import (
     aligned_reduced,
     leaked_words,
     missing_pair_reduced,
-    single_clone_reduced,
 )
-from cloneleak.classify import (
-    maximally_mixed,
-    numeric_independence_test,
-    trace_distance,
-)
+from cloneleak.classify import maximally_mixed, trace_distance
 from cloneleak.modnum import enumerate_system, solve_aligned_system, system_gcd
 from cloneleak.pauli import (
     PauliWord,
@@ -37,6 +32,7 @@ from cloneleak.protocol import (
     oracle_reduced,
     reduce_encoded,
 )
+from oracle_helpers import numeric_independence_test, single_clone_reduced
 
 SEED = 2026
 

@@ -15,7 +15,6 @@ from cloneleak.analytic import (
     leaked_words,
     missing_pair_reduced,
     missing_pair_subset_reduced,
-    single_clone_reduced,
 )
 from cloneleak.classify import trace_distance
 from cloneleak.modnum import satisfies_system
@@ -24,6 +23,7 @@ from cloneleak.protocol import (
     ENCODER_DIM_LIMIT,
     MEMBERSHIPS,
     NONE,
+    REDUCED_SIDE_LIMIT,
     STATE_AMPLITUDE_LIMIT,
     CapacityError,
     RegisterSubset,
@@ -31,7 +31,9 @@ from cloneleak.protocol import (
     encode,
     kron_all,
     oracle_reduced,
+    reduce_encoded,
 )
+from oracle_helpers import single_clone_reduced
 
 
 def word_basis_element(desc, a, b):
@@ -357,12 +359,16 @@ def test_capacity_errors_carry_what_size_and_limit():
     # every dense-object guard names its object, the size asked for and the limit
     psi10 = PureState.basis(10, 0)
     psi5 = PureState.basis(5, 0)
+    vec2 = encode(PureState.basis(2, 0), 2, 7)  # 2^15 amplitudes
+    kept13 = RegisterSubset.from_labels("S1,N1,S2,N2,S3,N3,S4,N4,S5,N5,S6,N6,S7", 7)
     guards = [
         (lambda: build_encoder(10, 3), "encoder side d^(n+1)", 10**4, ENCODER_DIM_LIMIT),
         (lambda: encode(psi10, 10, 4), "register size d^(2n+1)", 10**9, STATE_AMPLITUDE_LIMIT),
         (lambda: aligned_reduced(psi5, AlignedDescriptor(5, 6, 1)), "reduced side d^n", 5**6,
-         ENCODER_DIM_LIMIT),
-        (lambda: missing_pair_reduced(5, 4, 1), "kept side d^size", 5**6, ENCODER_DIM_LIMIT),
+         REDUCED_SIDE_LIMIT),
+        (lambda: missing_pair_reduced(5, 4, 1), "kept side d^size", 5**6, REDUCED_SIDE_LIMIT),
+        (lambda: reduce_encoded(vec2, 2, 7, kept13), "kept side d^size", 2**13,
+         REDUCED_SIDE_LIMIT),
     ]
     for build, what, size, limit in guards:
         with pytest.raises(CapacityError) as info:

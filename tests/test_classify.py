@@ -1,11 +1,13 @@
 """Taxonomy, distance tooling, and the sweep harness."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cloneleak import classify
 from cloneleak.analytic import AlignedDescriptor, aligned_reduced, missing_pair_subset_reduced
 from cloneleak.classify import (
     COMPLETELY_UNINFORMATIVE,
@@ -17,12 +19,12 @@ from cloneleak.classify import (
     evaluate_subset,
     is_authorized,
     maximally_mixed,
-    numeric_independence_test,
     run_sweep,
     trace_distance,
 )
 from cloneleak.pauli import random_states
-from cloneleak.protocol import CapacityError, ReducedState, RegisterSubset, encode
+from cloneleak.protocol import CapacityError, ReducedState, RegisterSubset, encode, reduce_encoded
+from oracle_helpers import numeric_independence_test
 
 
 def sub(labels, n):
@@ -40,8 +42,6 @@ def test_is_authorized_examples():
 
 def test_authorization_is_monotone_under_additions():
     # once decodable, adding more qudits never revokes it
-    import itertools
-
     labels_pool = [f"{k}{i}" for i in range(1, 4) for k in ("S", "N")]
     for r in range(1, len(labels_pool) + 1):
         for chosen in itertools.combinations(labels_pool, r):
@@ -176,18 +176,21 @@ def test_evaluate_subset_row_contents():
     assert row.maximally_mixed
     assert row.oracle_max_distance < 1e-9
     assert row.analytic_oracle_distance < 1e-9
+    assert row.oracle_max_bound is True and row.analytic_bound is True
 
     row = evaluate_subset(d, n, sub("S1,N1,S2", n), states, encoded, tol=1e-9, witness=1e-6)
     assert row.verdict == FULLY_INFORMATIVE
     assert row.analytic_oracle_distance is None
+    assert row.analytic_bound is None
     assert row.oracle_max_distance > 1e-3
+    assert row.oracle_max_bound is False
     assert row.agree
 
     rec = row.to_dict()
     assert set(rec) == {
         "d", "n", "subset", "p", "q", "g", "verdict", "authorized",
-        "maximally_mixed", "leak_terms", "oracle_max_distance",
-        "analytic_oracle_distance", "agree", "note",
+        "maximally_mixed", "leak_terms", "oracle_max_distance", "oracle_max_bound",
+        "analytic_oracle_distance", "analytic_bound", "agree", "note",
     }
 
 
@@ -303,3 +306,115 @@ def test_sweep_summary_line():
     config = SweepConfig(dims=(2,), ns=(1,), samples=4, seed=2)
     report = run_sweep(config)
     assert report.summary() == "2 rows, 0 mismatches, 0 capacity-skipped"
+
+
+def test_reduce_capacity_becomes_a_skipped_row():
+    # 2^15 amplitudes encode fine; keeping 13 qudits asks for a side of 2^13
+    d, n = 2, 7
+    states = random_states(d, 2, seed=0)
+    encoded = [encode(psi, d, n) for psi in states]
+    subset = sub("S1,N1,S2,N2,S3,N3,S4,N4,S5,N5,S6,N6,S7", n)
+    row = evaluate_subset(d, n, subset, states, encoded, tol=1e-9, witness=1e-6)
+    assert row.agree
+    assert row.note == "capacity: kept side d^size = 8192 exceeds limit 4096"
+    assert row.oracle_max_distance is None and row.oracle_max_bound is None
+
+
+def test_closed_form_gate_stays_exact_above_tol(monkeypatch):
+    # a closed form off by a traceless perturbation of trace distance 10*tol
+    # must fail the gate with its exact distance, not a bound
+    tol = 1e-9
+    inner = analytic_reduced
+
+    def perturbed(d, subset, psi=None):
+        state = inner(d, subset, psi)
+        bump = np.zeros_like(state.matrix)
+        bump[0, 0], bump[1, 1] = 10 * tol, -10 * tol
+        return ReducedState(state.d, state.labels, state.matrix + bump)
+
+    monkeypatch.setattr(classify, "analytic_reduced", perturbed)
+    d, n = 3, 2
+    states = random_states(d, 4, seed=5)
+    encoded = [encode(psi, d, n) for psi in states]
+    for labels in ("S1,N2", "S1,N1"):  # aligned, then missing a pair
+        row = evaluate_subset(d, n, sub(labels, n), states, encoded, tol=tol, witness=1e-6)
+        assert not row.agree
+        assert "closed form disagrees with oracle" in row.note
+        assert row.analytic_bound is False
+        assert row.analytic_oracle_distance == pytest.approx(10 * tol, rel=1e-5)
+        assert row.oracle_max_bound is True
+
+
+def test_sweep_distances_match_exact_recomputation():
+    # every reported distance is the exact maximum, or a flagged bound that
+    # sits between the exact maximum and tol
+    config = SweepConfig(dims=(2, 3), ns=(1, 2), family="all", samples=4, seed=8)
+    report = run_sweep(config)
+    bounds = exact = 0
+    for row in report.rows:
+        subset = sub(row.subset, row.n)
+        states = random_states(row.d, config.samples, config.seed)
+        reduced = [reduce_encoded(encode(psi, row.d, row.n), row.d, row.n, subset) for psi in states]
+        checks = [
+            (row.oracle_max_distance, row.oracle_max_bound,
+             max(trace_distance(a, b) for a, b in itertools.combinations(reduced, 2))),
+        ]
+        if row.authorized:
+            assert row.analytic_oracle_distance is None and row.analytic_bound is None
+        else:
+            checks.append((row.analytic_oracle_distance, row.analytic_bound, max(
+                trace_distance(analytic_reduced(row.d, subset, psi), rho)
+                for psi, rho in zip(states, reduced)
+            )))
+        for value, bound, truth in checks:
+            if bound:
+                assert truth <= value <= config.tol, row
+                bounds += 1
+            else:
+                assert value == truth and value > config.tol, row
+                exact += 1
+    assert bounds and exact
+
+
+def test_aligned_sweep_diagonalizes_only_input_dependent_rows(monkeypatch):
+    # 10 samples make 45 oracle pairs; every other distance is certified
+    inner_distance, inner_row = classify.trace_distance, classify.evaluate_subset
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return inner_distance(*args)
+
+    per_row = []
+
+    def row_clock(*args):
+        before = len(calls)
+        row = inner_row(*args)
+        per_row.append((row, len(calls) - before))
+        return row
+
+    monkeypatch.setattr(classify, "trace_distance", counted)
+    monkeypatch.setattr(classify, "evaluate_subset", row_clock)
+    report = run_sweep(SweepConfig(dims=(2, 3, 4), ns=(1, 2, 3), samples=10, seed=7))
+    assert report.all_agree and len(per_row) == len(report.rows) == 27
+    for row, count in per_row:
+        assert count == (45 if row.verdict != COMPLETELY_UNINFORMATIVE else 0), row
+    assert any(count for _, count in per_row)
+
+
+def test_bound_never_decides_a_witness_gate():
+    # with tol above witness, a bound between the exact distance and tol
+    # could pass "input-dependent" where the exact value fails it
+    d, n = 3, 1
+    states = random_states(d, 2, seed=3)
+    encoded = [encode(psi, d, n) for psi in states]
+    subset = sub("S1,N1", n)
+    first, second = (reduce_encoded(vec, d, n, subset).matrix for vec in encoded)
+    exact = trace_distance(first, second)
+    bound = 0.5 * np.sqrt(len(first)) * np.linalg.norm(first - second)
+    assert exact < 0.9 * bound
+    witness = (exact + bound) / 2
+    row = evaluate_subset(d, n, subset, states, encoded, tol=10.0, witness=witness)
+    assert not row.agree
+    assert "oracle looks independent" in row.note
+    assert row.oracle_max_bound is False and row.oracle_max_distance == exact

@@ -141,6 +141,26 @@ def test_verify_reports_capacity_on_stderr(capsys):
     assert err == "capacity: register size d^(2n+1) = 1977326743 exceeds limit 10000000\n"
 
 
+def test_verify_reports_reduce_capacity_on_stderr(capsys):
+    # 2^15 amplitudes encode fine; 13 kept qudits need an oracle side of 2^13
+    labels = "S1,N1,S2,N2,S3,N3,S4,N4,S5,N5,S6,N6,S7"
+    code, out, err = run(capsys, "verify", "-d", "2", "-n", "7", "--subset", labels, "--samples", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "capacity: kept side d^size = 8192 exceeds limit 4096\n"
+
+
+def test_verify_labels_certified_bounds(capsys):
+    code, out, _ = run(
+        capsys, "verify", "-d", "4", "-n", "3", "--subset", "S1,N2,N3", "--samples", "4"
+    )
+    assert code == 0
+    oracle = next(ln for ln in out.splitlines() if ln.startswith("oracle max"))
+    closed = next(ln for ln in out.splitlines() if ln.startswith("closed form"))
+    assert "bound" not in oracle  # input-dependent: the exact distance
+    assert closed.endswith(" (certified bound)") and ": ≤ " in closed
+
+
 def test_sweep_writes_reports(tmp_path, capsys):
     # the report directory need not exist yet
     jpath = tmp_path / "results" / "report.json"

@@ -1,8 +1,9 @@
-"""Hypothesis properties of subset labels and the arithmetic verdicts."""
+"""Hypothesis properties of subset labels, the arithmetic verdicts and the distance bounds."""
 
 import math
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from cloneleak.classify import (
     FULLY_INFORMATIVE,
     PARTIALLY_INFORMATIVE,
     classify_subset,
+    trace_distance,
 )
 from cloneleak.protocol import BOTH, MEMBERSHIPS, NONE, SIGNAL, RegisterSubset
 
@@ -55,3 +57,25 @@ def test_classification_matches_the_stated_rules(d, subset):
         assert cls.verdict == PARTIALLY_INFORMATIVE and not cls.maximally_mixed
     else:
         assert cls.verdict == COMPLETELY_UNINFORMATIVE and cls.maximally_mixed
+
+
+def _density(rng: np.random.Generator, side: int, rank: int) -> np.ndarray:
+    a = rng.standard_normal((side, rank)) + 1j * rng.standard_normal((side, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@settings(deadline=None)
+@given(
+    side=st.integers(min_value=2, max_value=64),
+    ranks=st.tuples(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=64)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_trace_distance_lies_between_the_frobenius_bounds(side, ranks, seed):
+    # the sweep certifies "<= tol" from the upper bound, so it must hold
+    rng = np.random.default_rng(seed)
+    rho, sigma = (_density(rng, side, min(rank, side)) for rank in ranks)
+    frobenius = float(np.linalg.norm(rho - sigma))
+    exact = trace_distance(rho, sigma)
+    slack = 1e-12 * frobenius  # rounding in the eigenvalues and the norm
+    assert 0.5 * frobenius - slack <= exact <= 0.5 * math.sqrt(side) * frobenius + slack
