@@ -91,8 +91,8 @@ def analytic_reduced(
 
     Aligned subsets need the input state; missing-pair subsets ignore it.
     """
-    cls = classify_subset(d, subset)
-    if cls.authorized:
+    require_dim(d)
+    if is_authorized(subset):
         return None
     if not subset.touches_all_pairs:
         return missing_pair_subset_reduced(d, subset.n, subset)
@@ -135,14 +135,17 @@ class SweepConfig:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
         object.__setattr__(self, "subsets", tuple(self.subsets))
+        if not self.dims or not self.ns:
+            raise ValueError("need at least one dimension and one pair count")
         if self.family not in ("aligned", "all", "named"):
             raise ValueError(f"unknown subset family {self.family!r}")
         if self.family == "named" and not self.subsets:
             raise ValueError("family 'named' needs at least one subset")
         if self.samples < 2:
             raise ValueError("need at least two samples to witness input dependence")
-        if self.tol <= 0 or self.witness <= 0:
-            raise ValueError("tolerances must be positive")
+        # NaN fails every comparison, so a NaN tol would pass each "> tol" gate
+        if not all(math.isfinite(t) and t > 0 for t in (self.tol, self.witness)):
+            raise ValueError("tolerances must be finite and positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -272,6 +275,15 @@ def _subsets_for(config: SweepConfig, n: int) -> list[RegisterSubset]:
     return [RegisterSubset.from_labels(labels, n) for labels in config.subsets]
 
 
+# Relative slack on a pair's bound before the exact scan skips it.  Each
+# eigenvalue from eigvalsh lies within about side * eps * ||X||_2 of the true
+# one, so the computed trace distance can exceed the true one by about
+# side^1.5 * eps times the bound (>= sqrt(side)/2 * ||X||_2): 6e-11 at
+# REDUCED_SIDE_LIMIT, and the bound's own rounding is smaller still.  A pair
+# whose bound ties the running maximum within rounding is thus diagonalized.
+_SCAN_SLACK = 1e-9
+
+
 def _max_distance(
     pairs: Sequence[tuple[ReducedState | np.ndarray, ReducedState | np.ndarray]],
     tol: float,
@@ -282,19 +294,26 @@ def _max_distance(
     Every difference X obeys T(X) <= sqrt(side)/2 * ||X||_F.  When that
     bound is <= tol and < witness for every pair, each gate reads the same
     on the largest bound as on the exact maximum, so the bound is returned
-    with True.  Otherwise the exact maximum comes from ``trace_distance``,
-    with False.  Each norm is taken of the difference itself: through a
-    Gram matrix, ||a||^2 + ||b||^2 - 2 Re<a, b> cancels to about 1e-9 for
-    differences near 1e-16, which decides nothing.
+    with True.  Otherwise the exact maximum is returned with False: pairs
+    are diagonalized by ``trace_distance`` in descending order of bound
+    until no bound left, widened by ``_SCAN_SLACK``, reaches the largest
+    distance found, since no skipped pair can then exceed it.  Each norm is
+    taken of the difference itself: through a Gram matrix,
+    ||a||^2 + ||b||^2 - 2 Re<a, b> cancels to about 1e-9 for differences
+    near 1e-16, which decides nothing.
     """
-    bound = 0.0
+    bounds = []
     for a, b in pairs:
         x = _matrix(a) - _matrix(b)
-        pair_bound = 0.5 * math.sqrt(len(x)) * float(np.linalg.norm(x))
-        if not (pair_bound <= tol and pair_bound < witness):
-            return max(trace_distance(a, b) for a, b in pairs), False
-        bound = max(bound, pair_bound)
-    return bound, True
+        bounds.append(0.5 * math.sqrt(len(x)) * float(np.linalg.norm(x)))
+    if all(bound <= tol and bound < witness for bound in bounds):
+        return max(bounds, default=0.0), True
+    best = 0.0
+    for i in sorted(range(len(pairs)), key=bounds.__getitem__, reverse=True):
+        if bounds[i] * (1 + _SCAN_SLACK) < best:
+            break
+        best = max(best, trace_distance(*pairs[i]))
+    return best, False
 
 
 def _capacity_row(common: dict, exc: CapacityError) -> SweepRow:
@@ -357,7 +376,10 @@ def evaluate_subset(
     analytic_bound: bool | None = None
     if not cls.authorized:
         try:
-            closed = [analytic_reduced(d, subset, psi) for psi in states]
+            if subset.touches_all_pairs:
+                closed = [analytic_reduced(d, subset, psi) for psi in states]
+            else:  # input-free: one closed form serves every sample
+                closed = [analytic_reduced(d, subset)] * len(states)
         except CapacityError as exc:
             notes.append(f"capacity: {exc}")
         else:

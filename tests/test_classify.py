@@ -223,6 +223,13 @@ def test_sweep_config_validation():
         SweepConfig(dims=(2,), ns=(1,), samples=1)
     with pytest.raises(ValueError):
         SweepConfig(dims=(2,), ns=(1,), tol=0)
+    for grid in (dict(dims=(), ns=(1,)), dict(dims=(2,), ns=())):
+        with pytest.raises(ValueError):
+            SweepConfig(**grid)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for name in ("tol", "witness"):
+            with pytest.raises(ValueError):
+                SweepConfig(dims=(2,), ns=(1,), **{name: bad})
 
 
 def test_run_sweep_aligned_grid_agrees():
@@ -346,9 +353,21 @@ def test_closed_form_gate_stays_exact_above_tol(monkeypatch):
 
 
 def test_sweep_distances_match_exact_recomputation():
-    # every reported distance is the exact maximum, or a flagged bound that
-    # sits between the exact maximum and tol
-    config = SweepConfig(dims=(2, 3), ns=(1, 2), family="all", samples=4, seed=8)
+    check_distances_against_exact_recomputation(
+        SweepConfig(dims=(2, 3), ns=(1, 2), family="all", samples=4, seed=8)
+    )
+
+
+def test_aligned_sweep_distances_match_exact_recomputation():
+    # the leaking rows take their maximum from the bound-ordered scan
+    check_distances_against_exact_recomputation(
+        SweepConfig(dims=(2, 3, 4), ns=(1, 2, 3), samples=10, seed=7)
+    )
+
+
+def check_distances_against_exact_recomputation(config):
+    # every reported distance is the exact maximum over every pair, or a
+    # flagged bound that sits between the exact maximum and tol
     report = run_sweep(config)
     bounds = exact = 0
     for row in report.rows:
@@ -377,7 +396,10 @@ def test_sweep_distances_match_exact_recomputation():
 
 
 def test_aligned_sweep_diagonalizes_only_input_dependent_rows(monkeypatch):
-    # 10 samples make 45 oracle pairs; every other distance is certified
+    # 10 samples make 45 oracle pairs; every other distance is certified, and
+    # the exact maximum is taken in bound order, which stops early because a
+    # leaking aligned difference has g eigenvalue levels of equal multiplicity:
+    # at g = 2 its bound is exact, so the first pair settles the maximum
     inner_distance, inner_row = classify.trace_distance, classify.evaluate_subset
     calls = []
 
@@ -398,8 +420,14 @@ def test_aligned_sweep_diagonalizes_only_input_dependent_rows(monkeypatch):
     report = run_sweep(SweepConfig(dims=(2, 3, 4), ns=(1, 2, 3), samples=10, seed=7))
     assert report.all_agree and len(per_row) == len(report.rows) == 27
     for row, count in per_row:
-        assert count == (45 if row.verdict != COMPLETELY_UNINFORMATIVE else 0), row
-    assert any(count for _, count in per_row)
+        if row.verdict == COMPLETELY_UNINFORMATIVE:
+            assert count == 0, row
+        elif row.g == 2:
+            assert count == 1, row
+        else:
+            assert 1 <= count <= 45, row
+    # pinned, so that a return to diagonalizing every pair shows
+    assert sum(count for _, count in per_row) == 16
 
 
 def test_bound_never_decides_a_witness_gate():
@@ -418,3 +446,47 @@ def test_bound_never_decides_a_witness_gate():
     assert not row.agree
     assert "oracle looks independent" in row.note
     assert row.oracle_max_bound is False and row.oracle_max_distance == exact
+
+
+def flat_pair_family(seed, side, count=8):
+    # I/side +- t * V s V^dagger with s half +1, half -1: every difference of
+    # opposite signs has eigenvalues +-2t, so its bound equals its trace
+    # distance, and all of them tie in exact arithmetic.  Each state gets its
+    # own ordering of the shared eigenbasis, so the ties differ in rounding.
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    basis, _ = np.linalg.qr(g)
+    signs = np.repeat([1.0, -1.0], side // 2)
+    t = 0.9 / side
+    states = []
+    for k in range(count):
+        perm = rng.permutation(side)
+        v = basis[:, perm]
+        states.append((v * (1 / side + (-1) ** k * t * signs[perm])) @ v.conj().T)
+    return states
+
+
+def test_max_distance_is_exact_when_bounds_are_tight():
+    # a pair skipped on a bound that ties the running maximum within
+    # rounding could still hold the largest computed distance
+    side = 64
+    for seed in range(20):
+        pairs = list(itertools.combinations(flat_pair_family(seed, side), 2))
+        truth = max(trace_distance(a, b) for a, b in pairs)
+        bound = 0.5 * np.sqrt(side) * max(np.linalg.norm(a - b) for a, b in pairs)
+        assert truth == pytest.approx(bound, rel=1e-12)
+        assert classify._max_distance(pairs, 1e-9, 1e-6) == (truth, False), seed
+
+
+def test_max_distance_is_exact_when_the_largest_bound_is_loose():
+    # rank-two difference: T = lam, bound = sqrt(2) lam; flat difference:
+    # T = bound = 1.2 lam.  The largest bound is not the largest distance,
+    # and a pair with a small bound sits between them in the input order.
+    base, lam = np.eye(4) / 4, 0.1
+    loose = (base + np.diag([lam, -lam, 0, 0]), base)
+    small = (base + np.diag([lam, -lam, 0, 0]) / 100, base)
+    flat = (base + 0.6 * lam * np.diag([1, 1, -1, -1]), base)
+    assert trace_distance(*loose) < trace_distance(*flat)
+    value, bound = classify._max_distance([loose, small, flat], 1e-9, 1e-6)
+    assert not bound
+    assert value == trace_distance(*flat) == pytest.approx(1.2 * lam)

@@ -124,8 +124,16 @@ def test_verify_exit_code_on_forced_mismatch(capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--samples", "1"), ("--tol", "-1"), ("--witness", "0")],
-    ids=["one-sample", "negative-tol", "zero-witness"],
+    [
+        ("--samples", "1"),
+        ("--tol", "-1"),
+        ("--witness", "0"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--witness", "inf"),
+        ("--witness", "nan"),
+    ],
+    ids=["one-sample", "negative-tol", "zero-witness", "nan-tol", "inf-tol", "inf-witness", "nan-witness"],
 )
 def test_verify_rejects_replay_settings_the_sweep_rejects(capsys, flags):
     code, out, err = run(capsys, "verify", "-d", "2", "-n", "1", "--subset", "S1", *flags)
@@ -178,6 +186,16 @@ def test_sweep_writes_reports(tmp_path, capsys):
     lines = cpath.read_text().splitlines()
     assert lines[0].startswith("d,n,subset,")
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "grid", [("--dims", ",", "--ns", "1"), ("--dims", "2", "--ns", "")], ids=["no-dims", "no-ns"]
+)
+def test_sweep_rejects_an_empty_grid(capsys, grid):
+    code, out, err = run(capsys, "sweep", *grid)
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
 
 
 def test_sweep_named_family(capsys):

@@ -1,5 +1,6 @@
 """Hypothesis properties of subset labels, the arithmetic verdicts and the distance bounds."""
 
+import itertools
 import math
 import random
 
@@ -11,6 +12,7 @@ from cloneleak.classify import (
     COMPLETELY_UNINFORMATIVE,
     FULLY_INFORMATIVE,
     PARTIALLY_INFORMATIVE,
+    _max_distance,
     classify_subset,
     trace_distance,
 )
@@ -79,3 +81,20 @@ def test_trace_distance_lies_between_the_frobenius_bounds(side, ranks, seed):
     exact = trace_distance(rho, sigma)
     slack = 1e-12 * frobenius  # rounding in the eigenvalues and the norm
     assert 0.5 * frobenius - slack <= exact <= 0.5 * math.sqrt(side) * frobenius + slack
+
+
+@settings(deadline=None)
+@given(
+    side=st.integers(min_value=2, max_value=32),
+    ranks=st.lists(st.integers(min_value=1, max_value=32), min_size=2, max_size=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_max_distance_scan_returns_the_exact_maximum(side, ranks, seed):
+    # the scan skips pairs whose bound cannot beat the running maximum, so
+    # its value must be the one a full pass over every pair gives
+    rng = np.random.default_rng(seed)
+    states = [_density(rng, side, min(rank, side)) for rank in ranks]
+    pairs = list(itertools.combinations(states, 2))
+    value, bound = _max_distance(pairs, 1e-9, 1e-6)
+    if not bound:
+        assert value == max(trace_distance(a, b) for a, b in pairs)
