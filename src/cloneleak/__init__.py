@@ -9,9 +9,7 @@ sweep layers keep the two honest against each other.
 """
 
 from .analytic import (
-    AlignedDescriptor,
     LeakTerm,
-    aligned_coefficient,
     aligned_coefficient_exponent,
     aligned_reduced,
     leaked_words,
@@ -38,7 +36,6 @@ from .modnum import (
     CongruenceSolutionSet,
     delta,
     enumerate_system,
-    gcd,
     satisfies_system,
     solve_aligned_system,
     system_gcd,
@@ -73,7 +70,6 @@ from .protocol import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedDescriptor",
     "CapacityError",
     "Classification",
     "CongruenceSolutionSet",
@@ -92,7 +88,6 @@ __all__ = [
     "SweepConfig",
     "SweepReport",
     "SweepRow",
-    "aligned_coefficient",
     "aligned_coefficient_exponent",
     "aligned_reduced",
     "analytic_reduced",
@@ -106,7 +101,6 @@ __all__ = [
     "enumerate_system",
     "evaluate_subset",
     "expectation",
-    "gcd",
     "is_authorized",
     "leaked_words",
     "maximally_mixed",

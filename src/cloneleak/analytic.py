@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modnum import (
-    CongruenceSolutionSet,
-    delta,
-    require_dim,
-    satisfies_system,
-    solve_aligned_system,
-    system_gcd,
-)
+from .modnum import CongruenceSolutionSet, delta, require_dim, solve_aligned_system
 from .pauli import PauliWord, PureState, expectation, phase_value
 from .protocol import (
     BOTH,
@@ -44,55 +37,11 @@ from .protocol import (
 )
 
 
-@dataclass(frozen=True)
-class AlignedDescriptor:
-    """Shape of an aligned subset: p signal and n - p noise qudits at dimension d."""
-
-    d: int
-    n: int
-    p: int
-
-    def __post_init__(self) -> None:
-        require_dim(self.d)
-        if self.n < 1:
-            raise ValueError(f"need at least one pair, got n={self.n}")
-        if not 0 <= self.p <= self.n:
-            raise ValueError(f"signal count {self.p} outside 0..{self.n}")
-
-    @property
-    def q(self) -> int:
-        return self.n - self.p
-
-    @property
-    def g(self) -> int:
-        return system_gcd(self.d, self.p, self.q)
-
-    def solutions(self) -> CongruenceSolutionSet:
-        return solve_aligned_system(self.d, self.p, self.q)
-
-    @classmethod
-    def of_subset(cls, d: int, subset: RegisterSubset) -> "AlignedDescriptor":
-        if not subset.is_aligned:
-            raise ValueError(f"subset {subset} is not aligned")
-        return cls(d=d, n=subset.n, p=subset.signal_count)
-
-
-def aligned_coefficient_exponent(desc: AlignedDescriptor, a: int, b: int) -> int:
-    """Exponent (mod 2d) of gamma(a, b), no solution-set filtering."""
-    d = desc.d
+def aligned_coefficient_exponent(d: int, q: int, a: int, b: int) -> int:
+    """Exponent (mod 2d) of gamma(a, b) for q kept noises, no solution-set filtering."""
+    dl = delta(d)
     a, b = a % d, b % d
-    return (-(a * a + b * b + 2 * desc.q * a * b + delta(d) * (a + b))) % (2 * d)
-
-
-def aligned_coefficient(desc: AlignedDescriptor, a: int, b: int) -> complex:
-    """gamma(a, b) on the congruence solution set, 0 elsewhere.
-
-    Off the solution set the encoder branches interfere to zero, so the
-    coefficient of that word in the reduced state vanishes identically.
-    """
-    if not satisfies_system(desc.d, desc.p, desc.q, a, b):
-        return 0.0 + 0.0j
-    return phase_value(desc.d, aligned_coefficient_exponent(desc, a, b))
+    return (-(a * a + b * b + 2 * q * a * b + dl * (a + b))) % (2 * d)
 
 
 @dataclass(frozen=True)
@@ -120,7 +69,7 @@ class LeakTerm:
         return {"a": self.a, "b": self.b, "phase_exponent": self.phase_exponent}
 
 
-def leaked_words(desc: AlignedDescriptor) -> tuple[LeakTerm, ...]:
+def leaked_words(sols: CongruenceSolutionSet) -> tuple[LeakTerm, ...]:
     """The nontrivial terms of an aligned reduced state, in generator order.
 
     Empty exactly when g = gcd(d, p*(q+1) - 1) is 1, i.e. when the subset is
@@ -128,34 +77,37 @@ def leaked_words(desc: AlignedDescriptor) -> tuple[LeakTerm, ...]:
     """
     return tuple(
         LeakTerm(
-            d=desc.d,
+            d=sols.d,
             a=a,
             b=b,
-            phase_exponent=aligned_coefficient_exponent(desc, a, b),
+            phase_exponent=aligned_coefficient_exponent(sols.d, sols.q, a, b),
         )
-        for a, b in desc.solutions().nontrivial()
+        for a, b in sols.nontrivial()
     )
 
 
-def aligned_reduced(psi: PureState, desc: AlignedDescriptor) -> ReducedState:
+def aligned_reduced(d: int, subset: RegisterSubset, psi: PureState) -> ReducedState:
     """Closed-form reduced state of an aligned subset, canonical qudit order.
 
-    Sums one tensor-product term per congruence solution; the (0, 0)
-    solution contributes the maximally mixed background I/d^n.
+    The maximally mixed background I/d^n plus one tensor-product term per
+    leaked word: its signal factor on each kept signal, its noise factor on
+    each kept noise.
     """
-    if psi.d != desc.d:
-        raise ValueError(f"state dimension {psi.d} does not match descriptor d={desc.d}")
-    side = desc.d**desc.n
+    if not subset.is_aligned:
+        raise ValueError(f"subset {subset} is not aligned")
+    p = subset.signal_count
+    q = subset.n - p
+    sols = solve_aligned_system(d, p, q)
+    if psi.d != d:
+        raise ValueError(f"state dimension {psi.d} does not match d={d}")
+    side = d**subset.n
     require_capacity("reduced side d^n", side, REDUCED_SIDE_LIMIT)
-    acc = np.zeros((side, side), dtype=complex)
-    for a, b in desc.solutions().solutions:
-        coeff = phase_value(desc.d, aligned_coefficient_exponent(desc, a, b))
-        amp = coeff * expectation(psi, PauliWord(desc.d, a=a, b=b))
-        sig = PauliWord(desc.d, a=a, b=b).matrix()
-        noi = PauliWord(desc.d, a=-a, b=b).matrix()
-        acc += amp * kron_all([sig] * desc.p + [noi] * desc.q)
-    labels = RegisterSubset.aligned(desc.n, desc.p).kept_labels()
-    return ReducedState(d=desc.d, labels=labels, matrix=acc / side)
+    acc = np.eye(side, dtype=complex)
+    for term in leaked_words(sols):
+        sig, noi = term.signal_word(), term.noise_word()
+        amp = term.coefficient * expectation(psi, sig)
+        acc += amp * kron_all([sig.matrix()] * p + [noi.matrix()] * q)
+    return ReducedState(d=d, labels=subset.kept_labels(), matrix=acc / side)
 
 
 def missing_pair_reduced(d: int, n: int, missing: int) -> ReducedState:

@@ -20,14 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import (
-    AlignedDescriptor,
-    LeakTerm,
-    aligned_reduced,
-    leaked_words,
-    missing_pair_subset_reduced,
-)
-from .modnum import require_dim
+from .analytic import LeakTerm, aligned_reduced, leaked_words, missing_pair_subset_reduced
+from .modnum import require_dim, solve_aligned_system
 from .pauli import PureState, random_states
 from .protocol import (
     CapacityError,
@@ -77,11 +71,12 @@ def classify_subset(d: int, subset: RegisterSubset) -> Classification:
     if not subset.touches_all_pairs:
         mixed = len(subset.full_pairs) <= 1
         return Classification(COMPLETELY_UNINFORMATIVE, False, mixed)
-    desc = AlignedDescriptor.of_subset(d, subset)
-    leak = leaked_words(desc)
+    p = subset.signal_count
+    sols = solve_aligned_system(d, p, subset.n - p)
+    leak = leaked_words(sols)
     if leak:
-        return Classification(PARTIALLY_INFORMATIVE, False, False, g=desc.g, leak=leak)
-    return Classification(COMPLETELY_UNINFORMATIVE, False, True, g=desc.g)
+        return Classification(PARTIALLY_INFORMATIVE, False, False, g=sols.g, leak=leak)
+    return Classification(COMPLETELY_UNINFORMATIVE, False, True, g=sols.g)
 
 
 def analytic_reduced(
@@ -98,7 +93,7 @@ def analytic_reduced(
         return missing_pair_subset_reduced(d, subset.n, subset)
     if psi is None:
         raise ValueError("aligned closed form needs an input state")
-    return aligned_reduced(psi, AlignedDescriptor.of_subset(d, subset))
+    return aligned_reduced(d, subset, psi)
 
 
 def _matrix(state: ReducedState | np.ndarray) -> np.ndarray:
@@ -141,6 +136,8 @@ class SweepConfig:
             raise ValueError(f"unknown subset family {self.family!r}")
         if self.family == "named" and not self.subsets:
             raise ValueError("family 'named' needs at least one subset")
+        if self.subsets and self.family != "named":
+            raise ValueError(f"subsets apply only to family 'named', not {self.family!r}")
         if self.samples < 2:
             raise ValueError("need at least two samples to witness input dependence")
         # NaN fails every comparison, so a NaN tol would pass each "> tol" gate

@@ -144,6 +144,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    if args.dmax < 2 or args.nmax < 1:
+        raise ValueError(f"need --dmax >= 2 and --nmax >= 1, got {args.dmax} and {args.nmax}")
     cells = [(n, p) for n in range(1, args.nmax + 1) for p in range(n + 1)]
     header = ["d"] + [f"n{n}p{p}" for n, p in cells]
     widths = [max(4, len(h)) for h in header]

@@ -34,18 +34,11 @@ def delta(d: int) -> int:
     return d % 2
 
 
-def gcd(u: int, v: int) -> int:
-    """Greatest common divisor of |u| and |v|, with gcd(x, 0) = |x|."""
-    if u == 0 and v == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(abs(u), abs(v))
-
-
 def system_gcd(d: int, p: int, q: int) -> int:
     """Number of solutions g = gcd(d, p*(q+1) - 1) of the aligned system."""
     require_dim(d)
     _require_shape(p, q)
-    return gcd(d, p * (q + 1) - 1)
+    return math.gcd(d, p * (q + 1) - 1)
 
 
 def satisfies_system(d: int, p: int, q: int, a: int, b: int) -> bool:
@@ -72,11 +65,6 @@ class CongruenceSolutionSet:
 
     def as_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.solutions)
-
-    @property
-    def trivial(self) -> bool:
-        """True when only (0, 0) solves the system, i.e. nothing leaks."""
-        return self.g == 1
 
     def nontrivial(self) -> tuple[tuple[int, int], ...]:
         return tuple(s for s in self.solutions if s != (0, 0))

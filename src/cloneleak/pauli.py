@@ -135,6 +135,8 @@ class PureState:
 
 def random_states(d: int, count: int, seed: int) -> list[PureState]:
     """Deterministic batch of Haar-random states from one seeded generator."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     return [PureState.random(d, rng) for _ in range(count)]
 

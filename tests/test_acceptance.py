@@ -11,7 +11,6 @@ import itertools
 import numpy as np
 
 from cloneleak.analytic import (
-    AlignedDescriptor,
     aligned_reduced,
     leaked_words,
     missing_pair_reduced,
@@ -94,10 +93,9 @@ def test_criterion_4_three_pair_closed_forms():
         states = random_states(d, 5, SEED)
         encoded = [encode(psi, d, 3) for psi in states]
         for p in range(4):
-            desc = AlignedDescriptor(d=d, n=3, p=p)
             sub = RegisterSubset.aligned(3, p)
             for psi, vec in zip(states, encoded):
-                closed = aligned_reduced(psi, desc)
+                closed = aligned_reduced(d, sub, psi)
                 truth = reduce_encoded(vec, d, 3, sub)
                 worst = max(worst, trace_distance(closed, truth))
 
@@ -109,7 +107,7 @@ def test_criterion_4_three_pair_closed_forms():
         explicit = (
             np.eye(d**3) + (1j**d) * expectation(psi, w) * kron_all([w.matrix()] * 3)
         ) / d**3
-        closed = aligned_reduced(psi, AlignedDescriptor(d=d, n=3, p=1))
+        closed = aligned_reduced(d, RegisterSubset.aligned(3, 1), psi)
         assert np.max(np.abs(closed.matrix - explicit)) < 1e-12
     for d in (3, 6):  # two signals, one noise: x1 and y1 at the third points
         t = d // 3
@@ -122,7 +120,7 @@ def test_criterion_4_three_pair_closed_forms():
         t1 = kron_all([w1.matrix()] * 2 + [PauliWord(d, a=-t, b=t).matrix()])
         t2 = kron_all([w2.matrix()] * 2 + [PauliWord(d, a=-2 * t, b=2 * t).matrix()])
         explicit = (np.eye(d**3) + x1 * t1 + y1 * t2) / d**3
-        closed = aligned_reduced(psi, AlignedDescriptor(d=d, n=3, p=2))
+        closed = aligned_reduced(d, RegisterSubset.aligned(3, 2), psi)
         assert np.max(np.abs(closed.matrix - explicit)) < 1e-12
 
     assert worst < 1e-9
@@ -141,10 +139,9 @@ def test_criterion_5_gcd_criterion_full_grid():
                 sub = RegisterSubset.aligned(n, p)
                 ind = numeric_independence_test(d, n, sub, samples=10, seed=SEED, tol=1e-9)
                 assert ind.independent == (g == 1), (d, n, p, g, ind)
-                desc = AlignedDescriptor(d=d, n=n, p=p)
                 for psi, vec in zip(states, encoded):
                     dist = trace_distance(
-                        aligned_reduced(psi, desc), reduce_encoded(vec, d, n, sub)
+                        aligned_reduced(d, sub, psi), reduce_encoded(vec, d, n, sub)
                     )
                     worst_closed = max(worst_closed, dist)
                 checked += 1
@@ -186,7 +183,7 @@ def test_criterion_7_qubit_parity_rule():
         for p in range(n + 1):
             sub = RegisterSubset.aligned(n, p)
             leaks = n % 2 == 1 and p % 2 == 1
-            terms = leaked_words(AlignedDescriptor(d=2, n=n, p=p))
+            terms = leaked_words(solve_aligned_system(2, p, n - p))
             assert bool(terms) == leaks
             for psi, vec in zip(states, encoded):
                 rho = reduce_encoded(vec, 2, n, sub).matrix

@@ -7,23 +7,23 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cloneleak.analytic import (
-    AlignedDescriptor,
     LeakTerm,
-    aligned_coefficient,
     aligned_coefficient_exponent,
     aligned_reduced,
     leaked_words,
     missing_pair_reduced,
     missing_pair_subset_reduced,
 )
-from cloneleak.classify import trace_distance
-from cloneleak.modnum import satisfies_system
+from cloneleak.classify import analytic_reduced, trace_distance
+from cloneleak.modnum import satisfies_system, solve_aligned_system
 from cloneleak.pauli import PauliWord, PureState, expectation, phase_value, random_states
 from cloneleak.protocol import (
     ENCODER_DIM_LIMIT,
     MEMBERSHIPS,
+    NOISE,
     NONE,
     REDUCED_SIDE_LIMIT,
+    SIGNAL,
     STATE_AMPLITUDE_LIMIT,
     CapacityError,
     RegisterSubset,
@@ -36,49 +36,50 @@ from cloneleak.protocol import (
 from oracle_helpers import single_clone_reduced
 
 
-def word_basis_element(desc, a, b):
+def word_basis_element(d, p, q, a, b):
     """(X^a Z^b)^{(x)p} (x) (X^{-a} Z^b)^{(x)q} as a dense matrix."""
-    sig = PauliWord(desc.d, a=a, b=b).matrix()
-    noi = PauliWord(desc.d, a=-a, b=b).matrix()
-    return kron_all([sig] * desc.p + [noi] * desc.q)
+    sig = PauliWord(d, a=a, b=b).matrix()
+    noi = PauliWord(d, a=-a, b=b).matrix()
+    return kron_all([sig] * p + [noi] * q)
 
 
 def test_descriptor_basics():
-    desc = AlignedDescriptor(d=6, n=3, p=2)
-    assert desc.q == 1
-    assert desc.g == 3
-    assert desc.solutions().as_set() == {(0, 0), (2, 2), (4, 4)}
+    sub = RegisterSubset.aligned(3, 2)
+    assert (sub.signal_count, sub.n - sub.signal_count) == (2, 1)
+    sols = solve_aligned_system(6, 2, 1)
+    assert sols.g == 3
+    assert sols.as_set() == {(0, 0), (2, 2), (4, 4)}
     with pytest.raises(ValueError):
-        AlignedDescriptor(d=6, n=2, p=3)
+        RegisterSubset.aligned(2, 3)
     with pytest.raises(ValueError):
-        AlignedDescriptor(d=6, n=0, p=0)
+        RegisterSubset.aligned(0, 0)
 
 
 def test_descriptor_of_subset():
-    sub = RegisterSubset.from_labels("N1,S2", 2)
-    desc = AlignedDescriptor.of_subset(3, sub)
-    assert (desc.n, desc.p, desc.q) == (2, 1, 1)
-    with pytest.raises(ValueError):
-        AlignedDescriptor.of_subset(3, RegisterSubset.from_labels("S1,N1", 2))
+    psi = random_states(3, 1, seed=0)[0]
+    rho = aligned_reduced(3, RegisterSubset.from_labels("N1,S2", 2), psi)
+    assert rho.labels == ("S2", "N1")
+    with pytest.raises(ValueError, match="not aligned"):
+        aligned_reduced(3, RegisterSubset.from_labels("S1,N1", 2), psi)
 
 
 def test_coefficient_examples():
-    assert aligned_coefficient(AlignedDescriptor(d=7, n=2, p=1), 0, 0) == 1
+    assert aligned_coefficient_exponent(7, 1, 0, 0) == 0
     # single kept pair of clones at even d: the extra word carries -1
-    assert_allclose(aligned_coefficient(AlignedDescriptor(d=2, n=3, p=1), 1, 1), -1, atol=1e-15)
-    assert_allclose(aligned_coefficient(AlignedDescriptor(d=4, n=3, p=1), 2, 2), 1, atol=1e-15)
-    # off the solution set the coefficient vanishes identically
-    assert aligned_coefficient(AlignedDescriptor(d=5, n=2, p=1), 1, 1) == 0
-    assert aligned_coefficient(AlignedDescriptor(d=5, n=2, p=1), 3, 0) == 0
+    (term,) = leaked_words(solve_aligned_system(2, 1, 2))
+    assert (term.a, term.b) == (1, 1)
+    assert_allclose(term.coefficient, -1, atol=1e-15)
+    (term,) = leaked_words(solve_aligned_system(4, 1, 2))
+    assert (term.a, term.b) == (2, 2)
+    assert_allclose(term.coefficient, 1, atol=1e-15)
 
 
 def test_coefficient_exponent_reduces_mod_2d():
-    desc = AlignedDescriptor(d=6, n=3, p=2)
     for a in range(6):
         for b in range(6):
-            r = aligned_coefficient_exponent(desc, a, b)
+            r = aligned_coefficient_exponent(6, 1, a, b)
             assert 0 <= r < 12
-            assert r == aligned_coefficient_exponent(desc, a + 6, b - 6)
+            assert r == aligned_coefficient_exponent(6, 1, a + 6, b - 6)
 
 
 def test_coefficients_against_oracle_extraction():
@@ -91,31 +92,31 @@ def test_coefficients_against_oracle_extraction():
     """
     cases = [(2, 1, 1), (3, 2, 1), (4, 1, 2), (2, 1, 2), (3, 1, 0), (2, 3, 0), (5, 1, 1)]
     for d, p, q in cases:
-        desc = AlignedDescriptor(d=d, n=p + q, p=p)
+        gamma = {(0, 0): 1.0}
+        for term in leaked_words(solve_aligned_system(d, p, q)):
+            gamma[(term.a, term.b)] = term.coefficient
         psi = random_states(d, 1, seed=100 * d + 10 * p + q)[0]
-        sub = RegisterSubset.aligned(desc.n, p)
-        rho = oracle_reduced(psi, d, desc.n, sub).matrix
+        sub = RegisterSubset.aligned(p + q, p)
+        rho = oracle_reduced(psi, d, p + q, sub).matrix
         for a in range(d):
             for b in range(d):
                 # np.vdot conjugates its first argument, so this is tr(E^+ rho)
-                extracted = np.vdot(word_basis_element(desc, a, b).reshape(-1), rho.reshape(-1))
+                extracted = np.vdot(word_basis_element(d, p, q, a, b).reshape(-1), rho.reshape(-1))
                 if satisfies_system(d, p, q, a, b):
-                    expected = aligned_coefficient(desc, a, b) * expectation(
-                        psi, PauliWord(d, a=a, b=b)
-                    )
+                    expected = gamma[(a, b)] * expectation(psi, PauliWord(d, a=a, b=b))
                     assert abs(extracted - expected) < 1e-10
                 else:
                     assert abs(extracted) < 1e-10
 
 
 def test_leaked_words_examples():
-    assert leaked_words(AlignedDescriptor(d=5, n=2, p=1)) == ()
-    terms = leaked_words(AlignedDescriptor(d=2, n=3, p=1))
+    assert leaked_words(solve_aligned_system(5, 1, 1)) == ()
+    terms = leaked_words(solve_aligned_system(2, 1, 2))
     assert terms == (LeakTerm(d=2, a=1, b=1, phase_exponent=2),)
     assert_allclose(terms[0].coefficient, -1, atol=1e-15)
     assert terms[0].signal_word() == PauliWord(2, a=1, b=1)
     assert terms[0].noise_word() == PauliWord(2, a=1, b=1)
-    big = leaked_words(AlignedDescriptor(d=9, n=3, p=2))
+    big = leaked_words(solve_aligned_system(9, 2, 1))
     assert [(t.a, t.b) for t in big] == [(3, 3), (6, 6)]
     assert big[0].to_dict() == {"a": 3, "b": 3, "phase_exponent": 12}
 
@@ -126,9 +127,9 @@ def test_leaked_words_empty_iff_g_one():
             for q in range(0, 4):
                 if p + q < 1:
                     continue
-                desc = AlignedDescriptor(d=d, n=p + q, p=p)
-                assert (len(leaked_words(desc)) == 0) == (desc.g == 1)
-                assert len(leaked_words(desc)) == desc.g - 1
+                sols = solve_aligned_system(d, p, q)
+                assert (len(leaked_words(sols)) == 0) == (sols.g == 1)
+                assert len(leaked_words(sols)) == sols.g - 1
 
 
 def test_aligned_reduced_matches_oracle():
@@ -136,25 +137,35 @@ def test_aligned_reduced_matches_oracle():
     for d, n in grid:
         for psi in random_states(d, 2, seed=d * 7 + n):
             for p in range(n + 1):
-                closed = aligned_reduced(psi, AlignedDescriptor(d=d, n=n, p=p))
+                closed = aligned_reduced(d, RegisterSubset.aligned(n, p), psi)
                 truth = oracle_reduced(psi, d, n, RegisterSubset.aligned(n, p))
                 assert closed.labels == truth.labels
                 assert trace_distance(closed, truth) < 1e-10
                 closed.check(atol=1e-10)
+    # every placement of the signals, not only the canonical one: the closed
+    # form keeps the subset's own labels, so it matches the oracle entrywise
+    for d, n in ((2, 3), (3, 3), (4, 2)):
+        psi = random_states(d, 1, seed=d + n)[0]
+        for members in itertools.product((SIGNAL, NOISE), repeat=n):
+            sub = RegisterSubset(members)
+            closed = analytic_reduced(d, sub, psi)
+            truth = oracle_reduced(psi, d, n, sub)
+            assert closed.labels == truth.labels
+            assert np.linalg.norm(closed.matrix - truth.matrix) < 1e-12
 
 
 def test_aligned_reduced_trivial_solution_set_is_maximally_mixed():
     psi = random_states(5, 1, seed=1)[0]
-    rho = aligned_reduced(psi, AlignedDescriptor(d=5, n=2, p=1))
+    rho = aligned_reduced(5, RegisterSubset.aligned(2, 1), psi)
     assert np.max(np.abs(rho.matrix - np.eye(25) / 25)) < 1e-14
 
 
 def test_aligned_reduced_dimension_checks():
     psi = random_states(3, 1, seed=0)[0]
     with pytest.raises(ValueError):
-        aligned_reduced(psi, AlignedDescriptor(d=4, n=2, p=1))
+        aligned_reduced(4, RegisterSubset.aligned(2, 1), psi)
     with pytest.raises(CapacityError):
-        aligned_reduced(random_states(5, 1, seed=0)[0], AlignedDescriptor(d=5, n=6, p=1))
+        aligned_reduced(5, RegisterSubset.aligned(6, 1), random_states(5, 1, seed=0)[0])
 
 
 def test_parity_rule_for_qubits():
@@ -163,17 +174,17 @@ def test_parity_rule_for_qubits():
     xz = PauliWord(2, a=1, b=1)
     for n in range(1, 6):
         for p in range(n + 1):
-            desc = AlignedDescriptor(d=2, n=n, p=p)
+            g = solve_aligned_system(2, p, n - p).g
             psi = random_states(2, 1, seed=3 * n + p)[0]
-            rho = aligned_reduced(psi, desc).matrix
+            rho = aligned_reduced(2, RegisterSubset.aligned(n, p), psi).matrix
             side = 2**n
             if n % 2 == 1 and p % 2 == 1:
-                assert desc.g == 2
+                assert g == 2
                 sign = (-1) ** (n - p + 1)
                 dev = sign * expectation(psi, xz) * kron_all([xz.matrix()] * n) / side
                 assert np.max(np.abs(rho - np.eye(side) / side - dev)) < 1e-12
             else:
-                assert desc.g == 1
+                assert g == 1
                 assert np.max(np.abs(rho - np.eye(side) / side)) < 1e-12
 
 
@@ -181,7 +192,7 @@ def test_parity_rule_matches_oracle_for_qubits():
     for n in range(1, 6):
         psi = random_states(2, 1, seed=40 + n)[0]
         for p in range(n + 1):
-            closed = aligned_reduced(psi, AlignedDescriptor(d=2, n=n, p=p))
+            closed = aligned_reduced(2, RegisterSubset.aligned(n, p), psi)
             truth = oracle_reduced(psi, 2, n, RegisterSubset.aligned(n, p))
             assert trace_distance(closed, truth) < 1e-10
 
@@ -193,12 +204,12 @@ def test_half_point_family_with_quarter_turn_coefficient():
         h = d // 2
         w = PauliWord(d, a=h, b=h)
         psi = random_states(d, 1, seed=d)[0]
-        desc = AlignedDescriptor(d=d, n=3, p=1)
+        sub = RegisterSubset.aligned(3, 1)
         explicit = (
             np.eye(d**3)
             + (1j**d) * expectation(psi, w) * kron_all([w.matrix()] * 3)
         ) / d**3
-        assert_allclose(aligned_reduced(psi, desc).matrix, explicit, atol=1e-12)
+        assert_allclose(aligned_reduced(d, sub, psi).matrix, explicit, atol=1e-12)
 
 
 def test_third_point_family_phases():
@@ -207,7 +218,7 @@ def test_third_point_family_phases():
     for d in (3, 6):
         t = d // 3
         psi = random_states(d, 1, seed=d + 1)[0]
-        desc = AlignedDescriptor(d=d, n=3, p=2)
+        sub = RegisterSubset.aligned(3, 2)
         dl = d % 2
         w1 = PauliWord(d, a=t, b=t)
         w2 = PauliWord(d, a=2 * t, b=2 * t)
@@ -216,21 +227,21 @@ def test_third_point_family_phases():
         t1 = kron_all([w1.matrix()] * 2 + [PauliWord(d, a=-t, b=t).matrix()])
         t2 = kron_all([w2.matrix()] * 2 + [PauliWord(d, a=-2 * t, b=2 * t).matrix()])
         explicit = (np.eye(d**3) + x1 * t1 + y1 * t2) / d**3
-        assert_allclose(aligned_reduced(psi, desc).matrix, explicit, atol=1e-12)
+        assert_allclose(aligned_reduced(d, sub, psi).matrix, explicit, atol=1e-12)
 
 
 def test_third_point_family_matches_oracle():
     d = 3
     psi = random_states(d, 1, seed=77)[0]
-    closed = aligned_reduced(psi, AlignedDescriptor(d=d, n=3, p=2))
+    closed = aligned_reduced(d, RegisterSubset.aligned(3, 2), psi)
     truth = oracle_reduced(psi, d, 3, RegisterSubset.aligned(3, 2))
     assert trace_distance(closed, truth) < 1e-10
 
 
 def test_leaky_states_depend_on_the_input():
-    desc = AlignedDescriptor(d=4, n=3, p=1)
+    sub = RegisterSubset.aligned(3, 1)
     a, b = random_states(4, 2, seed=5)
-    dist = trace_distance(aligned_reduced(a, desc), aligned_reduced(b, desc))
+    dist = trace_distance(aligned_reduced(4, sub, a), aligned_reduced(4, sub, b))
     assert dist > 1e-3
 
 
@@ -251,7 +262,7 @@ def test_single_clone_reduced_matches_oracle():
 def test_single_clone_reduced_is_the_aligned_special_case():
     for d in (2, 3, 5, 7):
         psi = random_states(d, 1, seed=d)[0]
-        via_general = aligned_reduced(psi, AlignedDescriptor(d=d, n=1, p=1))
+        via_general = aligned_reduced(d, RegisterSubset.aligned(1, 1), psi)
         via_special = single_clone_reduced(psi, d)
         assert np.max(np.abs(via_general.matrix - via_special.matrix)) < 1e-12
 
@@ -364,7 +375,7 @@ def test_capacity_errors_carry_what_size_and_limit():
     guards = [
         (lambda: build_encoder(10, 3), "encoder side d^(n+1)", 10**4, ENCODER_DIM_LIMIT),
         (lambda: encode(psi10, 10, 4), "register size d^(2n+1)", 10**9, STATE_AMPLITUDE_LIMIT),
-        (lambda: aligned_reduced(psi5, AlignedDescriptor(5, 6, 1)), "reduced side d^n", 5**6,
+        (lambda: aligned_reduced(5, RegisterSubset.aligned(6, 1), psi5), "reduced side d^n", 5**6,
          REDUCED_SIDE_LIMIT),
         (lambda: missing_pair_reduced(5, 4, 1), "kept side d^size", 5**6, REDUCED_SIDE_LIMIT),
         (lambda: reduce_encoded(vec2, 2, 7, kept13), "kept side d^size", 2**13,

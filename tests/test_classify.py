@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cloneleak import classify
-from cloneleak.analytic import AlignedDescriptor, aligned_reduced, missing_pair_subset_reduced
+from cloneleak.analytic import aligned_reduced, missing_pair_subset_reduced
 from cloneleak.classify import (
     COMPLETELY_UNINFORMATIVE,
     FULLY_INFORMATIVE,
@@ -113,7 +113,7 @@ def test_analytic_reduced_dispatch():
     psi = random_states(3, 1, seed=2)[0]
     assert analytic_reduced(3, sub("S1,N1", 1), psi) is None
     ali = analytic_reduced(3, sub("S1,N2", 2), psi)
-    direct = aligned_reduced(psi, AlignedDescriptor(d=3, n=2, p=1))
+    direct = aligned_reduced(3, sub("S1,N2", 2), psi)
     assert_allclose(ali.matrix, direct.matrix, atol=1e-14)
     gap = analytic_reduced(3, sub("S1,N1", 2))
     direct = missing_pair_subset_reduced(3, 2, sub("S1,N1", 2))
@@ -219,6 +219,9 @@ def test_sweep_config_validation():
         SweepConfig(dims=(2,), ns=(1,), family="bogus")
     with pytest.raises(ValueError):
         SweepConfig(dims=(2,), ns=(1,), family="named")
+    for family in ("aligned", "all"):  # subsets a family would ignore
+        with pytest.raises(ValueError):
+            SweepConfig(dims=(2,), ns=(1,), family=family, subsets=("S1",))
     with pytest.raises(ValueError):
         SweepConfig(dims=(2,), ns=(1,), samples=1)
     with pytest.raises(ValueError):

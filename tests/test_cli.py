@@ -61,6 +61,14 @@ def test_reduce_oracle_and_analytic_agree(capsys):
     assert np.max(np.abs(ma - mb)) < 1e-9
 
 
+def test_reduce_analytic_keeps_the_subset_labels(capsys):
+    args = ("-d", "3", "-n", "2", "--subset", "S2,N1")
+    for method in ("analytic", "oracle"):
+        code, out, _ = run(capsys, "reduce", *args, "--method", method)
+        assert code == 0
+        assert out.startswith(f"reduced state over (S2, N1), method={method}\n")
+
+
 def test_reduce_with_explicit_state(capsys):
     code, out, _ = run(
         capsys,
@@ -92,6 +100,21 @@ def test_reduce_rejects_bad_psi(capsys):
     code, _, err = run(capsys, "reduce", "-d", "3", "-n", "1", "--subset", "S1", "--psi", "1,0")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "-d", "3", "-n", "2", "--subset", "S1,N2", "--seed", "-1"),
+        ("sweep", "--dims", "2", "--ns", "1", "--seed", "-1"),
+    ],
+    ids=["reduce", "sweep"],
+)
+def test_negative_seed_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be non-negative, got -1\n"
 
 
 def test_verify_agreeing_subset(capsys):
@@ -198,6 +221,13 @@ def test_sweep_rejects_an_empty_grid(capsys, grid):
     assert out == ""
 
 
+def test_sweep_rejects_subsets_outside_the_named_family(capsys):
+    code, out, err = run(capsys, "sweep", "--dims", "2", "--ns", "1", "--subset", "S1")
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
+
+
 def test_sweep_named_family(capsys):
     code, out, _ = run(
         capsys,
@@ -260,3 +290,15 @@ def test_table_bounds_rows_and_columns(capsys):
     cells = table_cells(out)
     assert sorted(cells) == [2, 3, 4, 5, 6, 7]
     assert list(cells[2]) == ["d", "n1p0", "n1p1", "n2p0", "n2p1", "n2p2"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--dmax", "1"), ("--nmax", "0"), ("--nmax", "-2")],
+    ids=["dmax-1", "nmax-0", "nmax-neg"],
+)
+def test_table_rejects_an_empty_grid(capsys, flags):
+    code, out, err = run(capsys, "table", *flags)
+    assert code == 2
+    assert "error:" in err
+    assert out == ""

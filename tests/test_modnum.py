@@ -8,7 +8,6 @@ from cloneleak.modnum import (
     CongruenceSolutionSet,
     delta,
     enumerate_system,
-    gcd,
     require_dim,
     satisfies_system,
     solve_aligned_system,
@@ -17,21 +16,6 @@ from cloneleak.modnum import (
 
 dims = st.integers(min_value=2, max_value=30)
 counts = st.integers(min_value=0, max_value=6)
-
-
-def test_gcd_examples():
-    assert gcd(6, 3) == 3
-    assert gcd(12, 8) == 4
-    assert gcd(7, 1) == 1
-    assert gcd(5, 0) == 5
-    assert gcd(0, 7) == 7
-    assert gcd(-6, 4) == 2
-    assert gcd(2, 2) == 2
-
-
-def test_gcd_zero_zero_rejected():
-    with pytest.raises(ValueError):
-        gcd(0, 0)
 
 
 def test_delta():
@@ -70,7 +54,7 @@ def test_solve_examples():
     sol = solve_aligned_system(5, 1, 1)
     assert sol.g == 1
     assert sol.solutions == ((0, 0),)
-    assert sol.trivial
+    assert sol.g == 1
 
 
 def test_enumerate_examples():
@@ -93,7 +77,7 @@ def test_third_fraction_families():
 def test_all_noise_is_always_trivial():
     for d in range(2, 20):
         for q in range(1, 7):
-            assert solve_aligned_system(d, 0, q).trivial
+            assert solve_aligned_system(d, 0, q).g == 1
 
 
 def test_shape_validation():
@@ -131,7 +115,7 @@ def test_trivial_iff_gcd_one(d, p, q):
     if p + q < 1:
         q = 2
     sol = solve_aligned_system(d, p, q)
-    assert sol.trivial == (sol.as_set() == {(0, 0)})
+    assert (sol.g == 1) == (sol.as_set() == {(0, 0)})
     assert sol.nontrivial() == tuple(s for s in sol.solutions if s != (0, 0))
 
 
