@@ -101,11 +101,18 @@ def _matrix(state: ReducedState | np.ndarray) -> np.ndarray:
 
 
 def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.ndarray) -> float:
-    """Half the absolute eigenvalue sum of the difference."""
+    """Half the absolute eigenvalue sum of the difference's Hermitian part.
+
+    eigvalsh reads one triangle only, so a difference carrying a rounding
+    residue that is not Hermitian would otherwise be read as a matrix whose
+    Frobenius norm exceeds its own.  The Hermitian part (X + X^H)/2 has norm
+    at most ||X||_F, which keeps T <= sqrt(side)/2 * ||X||_F true.
+    """
     a, b = _matrix(first), _matrix(second)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+    x = a - b
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (x + x.conj().T)))))
 
 
 def maximally_mixed(d: int, num_qudits: int) -> np.ndarray:
@@ -272,12 +279,13 @@ def _subsets_for(config: SweepConfig, n: int) -> list[RegisterSubset]:
     return [RegisterSubset.from_labels(labels, n) for labels in config.subsets]
 
 
-# Relative slack on a pair's bound before the exact scan skips it.  Each
-# eigenvalue from eigvalsh lies within about side * eps * ||X||_2 of the true
-# one, so the computed trace distance can exceed the true one by about
-# side^1.5 * eps times the bound (>= sqrt(side)/2 * ||X||_2): 6e-11 at
-# REDUCED_SIDE_LIMIT, and the bound's own rounding is smaller still.  A pair
-# whose bound ties the running maximum within rounding is thus diagonalized.
+# Relative widening of every Frobenius bound.  Each eigenvalue from eigvalsh
+# lies within about side * eps * ||X||_2 of the true one, so the computed
+# trace distance can exceed the true one by about side^1.5 * eps times the
+# bound (>= sqrt(side)/2 * ||X||_2): 6e-11 at REDUCED_SIDE_LIMIT, and the
+# bound's own rounding is smaller still.  A widened bound therefore stays
+# above the computed distance it stands for, and a pair whose bound ties the
+# running maximum within rounding is diagonalized.
 _SCAN_SLACK = 1e-9
 
 
@@ -288,26 +296,26 @@ def _max_distance(
 ) -> tuple[float, bool]:
     """Largest trace distance over ``pairs``, or a certified bound on it.
 
-    Every difference X obeys T(X) <= sqrt(side)/2 * ||X||_F.  When that
-    bound is <= tol and < witness for every pair, each gate reads the same
-    on the largest bound as on the exact maximum, so the bound is returned
-    with True.  Otherwise the exact maximum is returned with False: pairs
-    are diagonalized by ``trace_distance`` in descending order of bound
-    until no bound left, widened by ``_SCAN_SLACK``, reaches the largest
-    distance found, since no skipped pair can then exceed it.  Each norm is
-    taken of the difference itself: through a Gram matrix,
-    ||a||^2 + ||b||^2 - 2 Re<a, b> cancels to about 1e-9 for differences
-    near 1e-16, which decides nothing.
+    Every difference X obeys T(X) <= sqrt(side)/2 * ||X||_F; each bound is
+    that value widened by ``_SCAN_SLACK``.  When the bound is <= tol and
+    < witness for every pair, each gate reads the same on the largest bound
+    as on the exact maximum, so the bound is returned with True.  Otherwise
+    the exact maximum is returned with False: pairs are diagonalized by
+    ``trace_distance`` in descending order of bound until no bound left
+    reaches the largest distance found, since no skipped pair can then
+    exceed it.  Each norm is taken of the difference itself: through a Gram
+    matrix, ||a||^2 + ||b||^2 - 2 Re<a, b> cancels to about 1e-9 for
+    differences near 1e-16, which decides nothing.
     """
     bounds = []
     for a, b in pairs:
         x = _matrix(a) - _matrix(b)
-        bounds.append(0.5 * math.sqrt(len(x)) * float(np.linalg.norm(x)))
+        bounds.append(0.5 * math.sqrt(len(x)) * float(np.linalg.norm(x)) * (1 + _SCAN_SLACK))
     if all(bound <= tol and bound < witness for bound in bounds):
         return max(bounds, default=0.0), True
     best = 0.0
     for i in sorted(range(len(pairs)), key=bounds.__getitem__, reverse=True):
-        if bounds[i] * (1 + _SCAN_SLACK) < best:
+        if bounds[i] < best:
             break
         best = max(best, trace_distance(*pairs[i]))
     return best, False

@@ -24,6 +24,8 @@ def _parse_psi(text: str, d: int) -> PureState:
     if amps.shape != (d,):
         raise ValueError(f"expected {d} amplitudes, got {amps.size}")
     norm = np.linalg.norm(amps)
+    if not np.isfinite(norm):
+        raise ValueError(f"amplitudes need a finite norm, got {text!r}")
     if norm == 0:
         raise ValueError("zero vector is not a state")
     return PureState(d, amps / norm)

@@ -110,6 +110,8 @@ class PureState:
             raise ValueError(
                 f"expected {self.d} amplitudes, got shape {np.asarray(self.amplitudes).shape}"
             )
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("state has non-finite amplitudes")
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")

@@ -312,47 +312,71 @@ def encode(psi: PureState, d: int, n: int) -> np.ndarray:
 
     The (k, l) branch is c_kl * (X^k Z^l |psi>) (x) ((X^k Z^l (x) I)|Bell>)^{(x)n};
     the branches are summed and divided by d.  All d^2 branches are built
-    together, one row each, and the last pair factor and the sum over branches
-    are one matmul.  This never materializes the encoder, so it reaches
-    register sizes the dense unitary cannot.
+    together, one row each, with the 1/d folded into the coefficients, and
+    the last pair factor and the sum over branches are one matmul whose
+    result is the register.  This never materializes the encoder, so it
+    reaches register sizes the dense unitary cannot.  Raises CapacityError
+    when the register or the d^2 x d^2 pair table, the larger object at
+    n = 1, exceeds ``STATE_AMPLITUDE_LIMIT``.
     """
     require_dim(d)
     _require_pairs(n)
     if psi.d != d:
         raise ValueError(f"state dimension {psi.d} does not match register dimension {d}")
     require_capacity("register size d^(2n+1)", d ** (2 * n + 1), STATE_AMPLITUDE_LIMIT)
+    require_capacity("encoder pair table d^4", d**4, STATE_AMPLITUDE_LIMIT)
     kl = [(k, l) for k in range(d) for l in range(d)]
     words = np.array([PauliWord(d, a=k, b=l).matrix() for k, l in kl])
-    coeffs = np.array([enc_coefficient_value(d, k, l) for k, l in kl])
+    coeffs = np.array([enc_coefficient_value(d, k, l) for k, l in kl]) / d
     branches = coeffs[:, None] * (words @ psi.amplitudes)
-    # np.kron keeps the leading branch axis: row (k, l) is (X^k Z^l (x) I)|Bell>
-    pairs = np.kron(words, np.eye(d)) @ bell_state(d)
+    # (X^k Z^l (x) I)|Bell> lists the entries of X^k Z^l row by row, over sqrt(d)
+    pairs = words.reshape(d * d, -1) / np.sqrt(d)
     for _ in range(n - 1):
         branches = (branches[:, :, None] * pairs[:, None, :]).reshape(d * d, -1)
-    return (branches.T @ pairs).reshape(-1) / d
+    return (branches.T @ pairs).reshape(-1)
+
+
+def _gram(parts: np.ndarray) -> np.ndarray:
+    """m @ m^H from the real matrix R = [Re m | Im m].
+
+    Re(m m^H) = R R^T is one symmetric rank-k product and Im(m m^H) = C - C^T
+    with C = Im m (Re m)^T one real matmul: about half the flops of the
+    complex product, and the result is exactly Hermitian.
+    """
+    cols = parts.shape[1] // 2
+    out = np.empty((len(parts), len(parts)), dtype=complex)
+    out.real = parts @ parts.T
+    c = parts[:, cols:] @ parts[:, :cols].T
+    out.imag = c - c.T
+    return out
 
 
 def reduce_encoded(vec: np.ndarray, d: int, n: int, subset: RegisterSubset) -> ReducedState:
     """Contract an encoded statevector down to the selected qudits.
 
-    The source qudit and every unselected register qudit are traced out by
-    one transpose/reshape/matmul; the d^(2n+1) density matrix is never
-    formed.  Raises CapacityError when the kept side d^size exceeds
-    ``REDUCED_SIDE_LIMIT``.
+    The source qudit and every unselected register qudit are traced out
+    without forming the d^(2n+1) density matrix.  The statevector is read
+    as real numbers with a trailing re/im axis; one transpose puts the kept
+    axes first and that axis between them and the traced axes, so the
+    kept-by-traced matrix m arrives as [Re m | Im m] in a single copy, and
+    m @ m^H is assembled from real products (see ``_gram``).  The result is
+    exactly Hermitian.  Raises CapacityError when the kept side d^size
+    exceeds ``REDUCED_SIDE_LIMIT``.
     """
     reg = Register(d, n)
     if subset.n != n:
         raise ValueError(f"subset spans {subset.n} pairs, register has {n}")
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    vec = np.ascontiguousarray(vec, dtype=complex).reshape(-1)
     if vec.shape != (reg.total_dim,):
         raise ValueError(f"expected {reg.total_dim} amplitudes, got {vec.shape}")
     labels = subset.kept_labels()
-    require_capacity("kept side d^size", d ** len(labels), REDUCED_SIDE_LIMIT)
+    side = d ** len(labels)
+    require_capacity("kept side d^size", side, REDUCED_SIDE_LIMIT)
     keep_axes = [reg.axis(lab) for lab in labels]
     traced = [ax for ax in range(reg.size) if ax not in keep_axes]
-    tensor = vec.reshape((d,) * reg.size)
-    m = np.transpose(tensor, keep_axes + traced).reshape(d ** len(keep_axes), -1)
-    return ReducedState(d=d, labels=labels, matrix=m @ m.conj().T)
+    tensor = vec.view(np.float64).reshape((d,) * reg.size + (2,))
+    parts = np.transpose(tensor, keep_axes + [reg.size] + traced).reshape(side, -1)
+    return ReducedState(d=d, labels=labels, matrix=_gram(parts))
 
 
 def oracle_reduced(psi: PureState, d: int, n: int, subset: RegisterSubset) -> ReducedState:

@@ -368,6 +368,14 @@ def test_aligned_sweep_distances_match_exact_recomputation():
     )
 
 
+def test_one_pair_sweep_bounds_cover_the_exact_distance():
+    # the S1 closed form carries a non-Hermitian rounding residue; a distance
+    # read from one triangle of the difference exceeded its Frobenius bound
+    check_distances_against_exact_recomputation(
+        SweepConfig(dims=(2,), ns=(1,), family="all", samples=4, seed=1)
+    )
+
+
 def check_distances_against_exact_recomputation(config):
     # every reported distance is the exact maximum over every pair, or a
     # flagged bound that sits between the exact maximum and tol

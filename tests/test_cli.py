@@ -102,6 +102,14 @@ def test_reduce_rejects_bad_psi(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("psi", ["nan,1", "inf,1"])
+def test_reduce_rejects_non_finite_psi(capsys, psi):
+    code, out, err = run(capsys, "reduce", "-d", "2", "-n", "1", "--subset", "S1", "--psi", psi)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: amplitudes need a finite norm, got {psi!r}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -166,6 +166,10 @@ def test_pure_state_validation():
         PureState(2, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         PureState(3, np.array([1.0, 0.0]))
+    # NaN fails every comparison, so the normalization check alone let it in
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(2, np.array([bad, 1.0]))
     state = PureState.basis(4, 2)
     assert_allclose(state.amplitudes, [0, 0, 1, 0], atol=1e-15)
     assert not state.amplitudes.flags.writeable

@@ -72,11 +72,16 @@ def _density(rng: np.random.Generator, side: int, rank: int) -> np.ndarray:
     side=st.integers(min_value=2, max_value=64),
     ranks=st.tuples(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=64)),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    residue=st.sampled_from([0.0, 1e-16, 1e-12, 1e-8]),
 )
-def test_trace_distance_lies_between_the_frobenius_bounds(side, ranks, seed):
-    # the sweep certifies "<= tol" from the upper bound, so it must hold
+def test_trace_distance_lies_between_the_frobenius_bounds(side, ranks, seed, residue):
+    # the sweep certifies "<= tol" from the upper bound, so it must hold,
+    # also for a difference carrying a non-Hermitian rounding residue (here
+    # in one triangle, of Frobenius norm ``residue`` relative to the rest)
     rng = np.random.default_rng(seed)
     rho, sigma = (_density(rng, side, min(rank, side)) for rank in ranks)
+    lower = np.tril(rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side)), -1)
+    rho = rho + residue * np.linalg.norm(rho - sigma) / np.linalg.norm(lower) * lower
     frobenius = float(np.linalg.norm(rho - sigma))
     exact = trace_distance(rho, sigma)
     slack = 1e-12 * frobenius  # rounding in the eigenvalues and the norm

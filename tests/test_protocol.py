@@ -1,6 +1,7 @@
 """Register layout, encoder, and the contraction oracle."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,26 @@ def test_capacity_guards():
         encode(psi, 10, 4)  # 10^9 amplitudes
     assert 10**4 > ENCODER_DIM_LIMIT
     assert 10**9 > STATE_AMPLITUDE_LIMIT
+    # at n = 1 the d^2 x d^2 pair table outgrows the d^3 register
+    with pytest.raises(CapacityError) as info:
+        encode(PureState.basis(57, 0), 57, 1)
+    assert (info.value.what, info.value.size, info.value.limit) == (
+        "encoder pair table d^4", 57**4, STATE_AMPLITUDE_LIMIT
+    )
+    assert encode(PureState.basis(56, 0), 56, 1).shape == (56**3,)
+
+
+def test_encode_builds_no_d6_pair_table():
+    # a d^6 Kronecker pair table would take 268 MB at d = 16; the d^4 table
+    # and the d^3 register take about 1 MB
+    psi = random_states(16, 1, seed=4)[0]
+    tracemalloc.start()
+    try:
+        encode(psi, 16, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_encode_beyond_encoder_capacity():
@@ -212,14 +233,14 @@ def test_reduced_state_serialization_roundtrip():
 
 
 def test_oracle_outputs_are_density_matrices():
-    for d, n in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)):
+    for d, n in ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3)):
         psi = random_states(d, 1, seed=5 * d + n)[0]
         vec = encode(psi, d, n)
         for members in itertools.product(("none", "signal", "noise", "both"), repeat=n):
             if all(m == "none" for m in members):
                 continue
-            sub = RegisterSubset(members)
-            reduce_encoded(vec, d, n, sub).check(atol=1e-10)
+            rho = reduce_encoded(vec, d, n, RegisterSubset(members)).check(atol=1e-10)
+            assert np.array_equal(rho.matrix, rho.matrix.conj().T), (d, n, members)
 
 
 def test_noise_qudit_alone_is_maximally_mixed():
@@ -256,14 +277,21 @@ def test_partial_trace_consistency_with_oracle():
 
 
 def test_reduce_encoded_matches_density_matrix_route():
-    d, n = 2, 2
-    psi = random_states(d, 1, seed=9)[0]
-    vec = encode(psi, d, n)
-    rho = np.outer(vec, vec.conj())
-    sub = RegisterSubset.from_labels("S1,N2", n)
-    viavec = reduce_encoded(vec, d, n, sub)
-    viamat = partial_trace(rho, (d,) * 5, [1, 4])
-    assert_allclose(viavec.matrix, viamat, atol=1e-13)
+    # the dimensions of the benchmark's oracle shapes (7,3) (6,3) (5,3) (4,4)
+    # (3,5) (2,8), each at the largest n whose dense density matrix has at
+    # most 2^10 rows; every subset, against the dense partial trace
+    for d, n in ((2, 2), (7, 1), (6, 1), (5, 1), (4, 2), (3, 2), (2, 4)):
+        psi = random_states(d, 1, seed=9)[0]
+        vec = encode(psi, d, n)
+        rho = np.outer(vec, vec.conj())
+        reg = Register(d, n)
+        for members in itertools.product(("none", "signal", "noise", "both"), repeat=n):
+            if all(m == "none" for m in members):
+                continue
+            sub = RegisterSubset(members)
+            keep = [reg.axis(lab) for lab in sub.kept_labels()]
+            viamat = partial_trace(rho, (d,) * reg.size, keep)
+            assert_allclose(reduce_encoded(vec, d, n, sub).matrix, viamat, rtol=0, atol=1e-14)
 
 
 def test_reduce_encoded_validation():
