@@ -48,7 +48,6 @@ from .pauli import (
     expectation,
     phase_value,
     random_states,
-    word_product,
 )
 from .protocol import (
     ENCODER_DIM_LIMIT,
@@ -56,7 +55,6 @@ from .protocol import (
     STATE_AMPLITUDE_LIMIT,
     CapacityError,
     ReducedState,
-    Register,
     RegisterSubset,
     bell_state,
     build_encoder,
@@ -82,7 +80,6 @@ __all__ = [
     "PureState",
     "REDUCED_SIDE_LIMIT",
     "ReducedState",
-    "Register",
     "RegisterSubset",
     "STATE_AMPLITUDE_LIMIT",
     "SweepConfig",
@@ -117,6 +114,5 @@ __all__ = [
     "solve_aligned_system",
     "system_gcd",
     "trace_distance",
-    "word_product",
     "__version__",
 ]

@@ -24,6 +24,7 @@ from .analytic import LeakTerm, aligned_reduced, leaked_words, missing_pair_subs
 from .modnum import require_dim, solve_aligned_system
 from .pauli import PureState, random_states
 from .protocol import (
+    BOTH,
     CapacityError,
     ReducedState,
     RegisterSubset,
@@ -31,18 +32,17 @@ from .protocol import (
     NONE,
     encode,
     reduce_encoded,
+    require_pairs,
 )
 
 FULLY_INFORMATIVE = "fully_informative"
 PARTIALLY_INFORMATIVE = "partially_informative"
 COMPLETELY_UNINFORMATIVE = "completely_uninformative"
 
-VERDICTS = (FULLY_INFORMATIVE, PARTIALLY_INFORMATIVE, COMPLETELY_UNINFORMATIVE)
-
 
 def is_authorized(subset: RegisterSubset) -> bool:
     """Decodable subsets: contain a complete pair and touch every pair."""
-    return subset.has_complete_pair and subset.touches_all_pairs
+    return BOTH in subset.members and subset.touches_all_pairs
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,8 @@ class SweepConfig:
     witness: float = 1e-6
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
+        object.__setattr__(self, "dims", tuple(self.dims))
+        object.__setattr__(self, "ns", tuple(self.ns))
         object.__setattr__(self, "subsets", tuple(self.subsets))
         if not self.dims or not self.ns:
             raise ValueError("need at least one dimension and one pair count")
@@ -145,11 +145,19 @@ class SweepConfig:
             raise ValueError("family 'named' needs at least one subset")
         if self.subsets and self.family != "named":
             raise ValueError(f"subsets apply only to family 'named', not {self.family!r}")
+        if not isinstance(self.samples, int) or isinstance(self.samples, bool):
+            raise TypeError(f"samples must be an int, got {type(self.samples).__name__}")
         if self.samples < 2:
             raise ValueError("need at least two samples to witness input dependence")
         # NaN fails every comparison, so a NaN tol would pass each "> tol" gate
         if not all(math.isfinite(t) and t > 0 for t in (self.tol, self.witness)):
             raise ValueError("tolerances must be finite and positive")
+        for d in self.dims:
+            require_dim(d)
+        for n in self.ns:
+            require_pairs(n)
+            for labels in self.subsets:  # a named subset must fit every shape
+                RegisterSubset.from_labels(labels, n)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -197,7 +205,7 @@ class SweepReport:
 
     @property
     def skipped(self) -> tuple[SweepRow, ...]:
-        return tuple(row for row in self.rows if row.note.startswith("capacity"))
+        return tuple(row for row in self.rows if row.oracle_max_distance is None)
 
     def to_json(self) -> str:
         payload = {
@@ -321,18 +329,6 @@ def _max_distance(
     return best, False
 
 
-def _capacity_row(common: dict, exc: CapacityError) -> SweepRow:
-    return SweepRow(
-        **common,
-        oracle_max_distance=None,
-        oracle_max_bound=None,
-        analytic_oracle_distance=None,
-        analytic_bound=None,
-        agree=True,
-        note=f"capacity: {exc}",
-    )
-
-
 def evaluate_subset(
     d: int,
     n: int,
@@ -366,12 +362,22 @@ def evaluate_subset(
         maximally_mixed=cls.maximally_mixed,
         leak_terms=cls.leak,
     )
-    if isinstance(encoded, CapacityError):
-        return _capacity_row(common, encoded)
     try:
+        if isinstance(encoded, CapacityError):
+            # every subset of the shape raises this one error; a fresh
+            # traceback keeps it from holding each row's frame
+            raise encoded.with_traceback(None)
         reduced = [reduce_encoded(vec, d, n, subset) for vec in encoded]
     except CapacityError as exc:
-        return _capacity_row(common, exc)
+        return SweepRow(
+            **common,
+            oracle_max_distance=None,
+            oracle_max_bound=None,
+            analytic_oracle_distance=None,
+            analytic_bound=None,
+            agree=True,
+            note=f"capacity: {exc}",
+        )
     oracle_max, oracle_bound = _max_distance(
         list(itertools.combinations(reduced, 2)), tol, witness
     )
@@ -380,17 +386,13 @@ def evaluate_subset(
     analytic_dist: float | None = None
     analytic_bound: bool | None = None
     if not cls.authorized:
-        try:
-            if subset.touches_all_pairs:
-                closed = [analytic_reduced(d, subset, psi) for psi in states]
-            else:  # input-free: one closed form serves every sample
-                closed = [analytic_reduced(d, subset)] * len(states)
-        except CapacityError as exc:
-            notes.append(f"capacity: {exc}")
-        else:
-            analytic_dist, analytic_bound = _max_distance(
-                list(zip(closed, reduced)), tol, witness
-            )
+        # no CapacityError here: each closed form guards the same side d^size
+        # against the REDUCED_SIDE_LIMIT that reduce_encoded has just passed
+        if subset.touches_all_pairs:
+            closed = [analytic_reduced(d, subset, psi) for psi in states]
+        else:  # input-free: one closed form serves every sample
+            closed = [analytic_reduced(d, subset)] * len(states)
+        analytic_dist, analytic_bound = _max_distance(list(zip(closed, reduced)), tol, witness)
 
     agree = True
     if analytic_dist is not None and analytic_dist > tol:

@@ -37,7 +37,8 @@ def _state_from_args(args: argparse.Namespace) -> PureState:
     return random_states(args.d, 1, args.seed)[0]
 
 
-def _print_classification(args: argparse.Namespace, subset: RegisterSubset) -> None:
+def cmd_classify(args: argparse.Namespace) -> int:
+    subset = RegisterSubset.from_labels(args.subset, args.n)
     cls = classify_subset(args.d, subset)
     if args.json:
         payload = {
@@ -51,7 +52,7 @@ def _print_classification(args: argparse.Namespace, subset: RegisterSubset) -> N
             "leak_terms": [t.to_dict() for t in cls.leak],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return
+        return 0
     print(f"subset {subset} of a d={args.d}, n={args.n} register")
     print(f"verdict: {cls.verdict}")
     print(f"authorized: {'yes' if cls.authorized else 'no'}")
@@ -64,11 +65,6 @@ def _print_classification(args: argparse.Namespace, subset: RegisterSubset) -> N
             f"leak: (a={term.a}, b={term.b}) "
             f"coefficient exp(i*pi*{term.phase_exponent}/{term.d})"
         )
-
-
-def cmd_classify(args: argparse.Namespace) -> int:
-    subset = RegisterSubset.from_labels(args.subset, args.n)
-    _print_classification(args, subset)
     return 0
 
 

@@ -12,7 +12,6 @@ criterion an integer statement rather than a numerical one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -84,16 +83,6 @@ class PauliWord:
             b=-self.b,
             r=-self.r + 2 * self.a * self.b,
         )
-
-    def to_dict(self) -> dict[str, int]:
-        return {"d": self.d, "a": self.a, "b": self.b, "r": self.r}
-
-
-def word_product(*words: PauliWord) -> PauliWord:
-    """Left-to-right product of one or more words."""
-    if not words:
-        raise ValueError("need at least one word")
-    return reduce(lambda u, v: u * v, words)
 
 
 @dataclass(frozen=True)

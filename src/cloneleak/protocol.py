@@ -1,9 +1,10 @@
-"""Register layout, encoding circuit, and the brute-force reduction oracle.
+"""Register subsets, encoding circuit, and the brute-force reduction oracle.
 
 The full register is [A, S1, N1, S2, N2, ..., Sn, Nn]: the source qudit A,
 then n signal/noise pairs, each pair prepared in the generalized Bell state
 before encoding.  Axis order is fixed and row-major, so A is axis 0 and pair
-i occupies axes (2i-1, 2i).
+i occupies axes (2i-1, 2i); :meth:`RegisterSubset.kept_axes` is where that
+layout is read.
 
 Encoding applies (1/d) * sum_{k,l} c_kl (X^k Z^l) on A and every signal
 qudit simultaneously, with c_kl the exact phases from
@@ -60,7 +61,8 @@ def require_capacity(what: str, size: int, limit: int) -> None:
         raise CapacityError(what, size, limit)
 
 
-def _require_pairs(n: int) -> None:
+def require_pairs(n: int) -> None:
+    """Reject pair counts below 1."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"pair count must be an int, got {type(n).__name__}")
     if n < 1:
@@ -73,41 +75,6 @@ def parse_label(label: str) -> tuple[str, int]:
     if len(lab) >= 2 and lab[0].upper() in ("S", "N") and lab[1:].isdigit():
         return lab[0].upper(), int(lab[1:])
     raise ValueError(f"bad qudit label {label!r}; expected like S1 or N2")
-
-
-@dataclass(frozen=True)
-class Register:
-    """Source qudit plus n signal/noise pairs in the fixed global layout."""
-
-    d: int
-    n: int
-
-    def __post_init__(self) -> None:
-        require_dim(self.d)
-        _require_pairs(self.n)
-
-    @property
-    def size(self) -> int:
-        """Total number of qudits, source included."""
-        return 2 * self.n + 1
-
-    @property
-    def total_dim(self) -> int:
-        return self.d**self.size
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        pairs = [lab for i in range(1, self.n + 1) for lab in (f"S{i}", f"N{i}")]
-        return ("A", *pairs)
-
-    def axis(self, label: str) -> int:
-        """Tensor axis of a qudit: A -> 0, S_i -> 2i-1, N_i -> 2i."""
-        if label.strip().upper() == "A":
-            return 0
-        kind, i = parse_label(label)
-        if not 1 <= i <= self.n:
-            raise ValueError(f"pair index {i} outside 1..{self.n}")
-        return 2 * i - 1 if kind == "S" else 2 * i
 
 
 @dataclass(frozen=True)
@@ -134,7 +101,7 @@ class RegisterSubset:
     @classmethod
     def from_labels(cls, labels: str | Iterable[str], n: int) -> "RegisterSubset":
         """Build from labels like 'S1,N2' (string) or an iterable of labels."""
-        _require_pairs(n)
+        require_pairs(n)
         if isinstance(labels, str):
             labels = [tok for tok in labels.split(",") if tok.strip()]
         members = [NONE] * n
@@ -153,7 +120,7 @@ class RegisterSubset:
     @classmethod
     def aligned(cls, n: int, p: int) -> "RegisterSubset":
         """Canonical aligned subset: signals on pairs 1..p, noises after."""
-        _require_pairs(n)
+        require_pairs(n)
         if not 0 <= p <= n:
             raise ValueError(f"signal count {p} outside 0..{n}")
         return cls(tuple([SIGNAL] * p + [NOISE] * (n - p)))
@@ -162,56 +129,44 @@ class RegisterSubset:
     def n(self) -> int:
         return len(self.members)
 
-    def _pairs_with(self, *kinds: str) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.members, 1) if m in kinds)
-
-    @property
-    def signal_pairs(self) -> tuple[int, ...]:
-        """Pairs contributing only their signal qudit."""
-        return self._pairs_with(SIGNAL)
-
-    @property
-    def noise_pairs(self) -> tuple[int, ...]:
-        """Pairs contributing only their noise qudit."""
-        return self._pairs_with(NOISE)
-
     @property
     def full_pairs(self) -> tuple[int, ...]:
         """Pairs contributing both qudits."""
-        return self._pairs_with(BOTH)
-
-    @property
-    def missing_pairs(self) -> tuple[int, ...]:
-        """Pairs contributing nothing."""
-        return self._pairs_with(NONE)
+        return tuple(i for i, m in enumerate(self.members, 1) if m == BOTH)
 
     @property
     def touches_all_pairs(self) -> bool:
-        return not self.missing_pairs
-
-    @property
-    def has_complete_pair(self) -> bool:
-        return bool(self.full_pairs)
+        return NONE not in self.members
 
     @property
     def is_aligned(self) -> bool:
         """One qudit from every pair."""
-        return self.touches_all_pairs and not self.has_complete_pair
+        return self.touches_all_pairs and BOTH not in self.members
 
     @property
     def signal_count(self) -> int:
-        return len(self.signal_pairs)
+        """Number of pairs contributing only their signal qudit."""
+        return self.members.count(SIGNAL)
 
     @property
     def size(self) -> int:
         """Number of selected qudits."""
-        return len(self.kept_labels())
+        return len(self._kept())
+
+    def _kept(self) -> list[tuple[str, int]]:
+        """(label, register axis) per selected qudit: S_i on 2i-1, N_i on 2i."""
+        pairs = list(enumerate(self.members, 1))
+        sig = [(f"S{i}", 2 * i - 1) for i, m in pairs if m in (SIGNAL, BOTH)]
+        noi = [(f"N{i}", 2 * i) for i, m in pairs if m in (NOISE, BOTH)]
+        return sig + noi
 
     def kept_labels(self) -> tuple[str, ...]:
         """Selected qudits in canonical order: signals ascending, then noises."""
-        sig = [f"S{i}" for i in self._pairs_with(SIGNAL, BOTH)]
-        noi = [f"N{i}" for i in self._pairs_with(NOISE, BOTH)]
-        return tuple(sig + noi)
+        return tuple(label for label, _ in self._kept())
+
+    def kept_axes(self) -> tuple[int, ...]:
+        """Register axis of each selected qudit, in the order of ``kept_labels``."""
+        return tuple(axis for _, axis in self._kept())
 
     def __str__(self) -> str:
         return ",".join(self.kept_labels())
@@ -239,15 +194,13 @@ class ReducedState:
         object.__setattr__(self, "matrix", mat)
 
     @property
-    def num_qudits(self) -> int:
-        return len(self.labels)
-
-    @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        """tr(rho^2) as the entrywise sum of rho * rho^T, without a matmul."""
+        m = self.matrix
+        return float(np.sum(m * m.T).real)
 
     def check(self, atol: float = 1e-10) -> "ReducedState":
         """Assert hermiticity, unit trace, and positivity; return self."""
@@ -296,7 +249,7 @@ def build_encoder(d: int, n: int) -> np.ndarray:
     pin down.
     """
     require_dim(d)
-    _require_pairs(n)
+    require_pairs(n)
     side = d ** (n + 1)
     require_capacity("encoder side d^(n+1)", side, ENCODER_DIM_LIMIT)
     out = np.zeros((side, side), dtype=complex)
@@ -320,7 +273,7 @@ def encode(psi: PureState, d: int, n: int) -> np.ndarray:
     n = 1, exceeds ``STATE_AMPLITUDE_LIMIT``.
     """
     require_dim(d)
-    _require_pairs(n)
+    require_pairs(n)
     if psi.d != d:
         raise ValueError(f"state dimension {psi.d} does not match register dimension {d}")
     require_capacity("register size d^(2n+1)", d ** (2 * n + 1), STATE_AMPLITUDE_LIMIT)
@@ -363,20 +316,21 @@ def reduce_encoded(vec: np.ndarray, d: int, n: int, subset: RegisterSubset) -> R
     exactly Hermitian.  Raises CapacityError when the kept side d^size
     exceeds ``REDUCED_SIDE_LIMIT``.
     """
-    reg = Register(d, n)
+    require_dim(d)
+    require_pairs(n)
     if subset.n != n:
         raise ValueError(f"subset spans {subset.n} pairs, register has {n}")
+    size = 2 * n + 1
     vec = np.ascontiguousarray(vec, dtype=complex).reshape(-1)
-    if vec.shape != (reg.total_dim,):
-        raise ValueError(f"expected {reg.total_dim} amplitudes, got {vec.shape}")
-    labels = subset.kept_labels()
-    side = d ** len(labels)
+    if vec.shape != (d**size,):
+        raise ValueError(f"expected {d**size} amplitudes, got {vec.shape}")
+    keep_axes = list(subset.kept_axes())
+    side = d ** len(keep_axes)
     require_capacity("kept side d^size", side, REDUCED_SIDE_LIMIT)
-    keep_axes = [reg.axis(lab) for lab in labels]
-    traced = [ax for ax in range(reg.size) if ax not in keep_axes]
-    tensor = vec.view(np.float64).reshape((d,) * reg.size + (2,))
-    parts = np.transpose(tensor, keep_axes + [reg.size] + traced).reshape(side, -1)
-    return ReducedState(d=d, labels=labels, matrix=_gram(parts))
+    traced = [ax for ax in range(size) if ax not in keep_axes]
+    tensor = vec.view(np.float64).reshape((d,) * size + (2,))
+    parts = np.transpose(tensor, keep_axes + [size] + traced).reshape(side, -1)
+    return ReducedState(d=d, labels=subset.kept_labels(), matrix=_gram(parts))
 
 
 def oracle_reduced(psi: PureState, d: int, n: int, subset: RegisterSubset) -> ReducedState:

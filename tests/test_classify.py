@@ -233,6 +233,19 @@ def test_sweep_config_validation():
         for name in ("tol", "witness"):
             with pytest.raises(ValueError):
                 SweepConfig(dims=(2,), ns=(1,), **{name: bad})
+    # the grid is checked whole before any encode
+    for dims, ns in (((2.7,), (1,)), ((2,), (1.0,)), ((True,), (1,))):
+        with pytest.raises(TypeError):
+            SweepConfig(dims=dims, ns=ns)
+    for bad_samples in (2.5, True):
+        with pytest.raises(TypeError):
+            SweepConfig(dims=(2,), ns=(1,), samples=bad_samples)
+    for grid in (dict(dims=(3, 1), ns=(1,)), dict(dims=(2,), ns=(2, 0))):
+        with pytest.raises(ValueError):
+            SweepConfig(**grid)
+    with pytest.raises(ValueError, match="outside 1..1"):
+        SweepConfig(dims=(6,), ns=(3, 1), family="named", subsets=("S1,S2,S3",))
+    assert SweepConfig(dims=range(2, 4), ns=range(1, 3)).dims == (2, 3)
 
 
 def test_run_sweep_aligned_grid_agrees():

@@ -1,4 +1,4 @@
-"""Register layout, encoder, and the contraction oracle."""
+"""Register subsets, encoder, and the contraction oracle."""
 
 import itertools
 import tracemalloc
@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cloneleak.analytic import aligned_reduced
 from cloneleak.pauli import PauliWord, PureState, enc_coefficient_value, random_states
 from cloneleak.protocol import (
     ENCODER_DIM_LIMIT,
     STATE_AMPLITUDE_LIMIT,
     CapacityError,
     ReducedState,
-    Register,
     RegisterSubset,
     bell_state,
     build_encoder,
@@ -42,18 +42,35 @@ def test_bell_halves_are_maximally_mixed():
             assert_allclose(partial_trace(rho, (d, d), keep), np.eye(d) / d, atol=1e-14)
 
 
+def layout_axis(label):
+    """Register axis from the documented layout [A, S1, N1, ..., Sn, Nn]."""
+    kind, i = parse_label(label)
+    return 2 * i - 1 if kind == "S" else 2 * i
+
+
 def test_register_layout():
-    reg = Register(d=3, n=2)
-    assert reg.size == 5
-    assert reg.total_dim == 3**5
-    assert reg.labels == ("A", "S1", "N1", "S2", "N2")
-    assert [reg.axis(lab) for lab in reg.labels] == [0, 1, 2, 3, 4]
+    whole = RegisterSubset(("both", "both"))
+    assert whole.kept_labels() == ("S1", "S2", "N1", "N2")
+    assert whole.kept_axes() == (1, 3, 2, 4)
+    assert RegisterSubset.from_labels("N2,S1", 2).kept_axes() == (1, 4)
+    vec = encode(PureState.basis(3, 0), 3, 2)
+    assert vec.shape == (3**5,)
     with pytest.raises(ValueError):
-        reg.axis("S3")
+        RegisterSubset.from_labels("S3", 2)
     with pytest.raises(ValueError):
-        Register(d=1, n=2)
+        reduce_encoded(vec, 1, 2, whole)
     with pytest.raises(ValueError):
-        Register(d=3, n=0)
+        reduce_encoded(vec, 3, 0, whole)
+
+
+def test_kept_labels_and_axes_agree():
+    for n in (1, 2, 3):
+        for members in itertools.product(("none", "signal", "noise", "both"), repeat=n):
+            if all(m == "none" for m in members):
+                continue
+            sub = RegisterSubset(members)
+            assert sub.kept_axes() == tuple(layout_axis(lab) for lab in sub.kept_labels())
+            assert sub.size == len(sub.kept_axes())
 
 
 def test_parse_label():
@@ -88,12 +105,10 @@ def test_subset_from_iterable_and_duplicates():
 def test_subset_flags():
     sub = RegisterSubset.from_labels("S1,N1,S2", 3)
     assert sub.full_pairs == (1,)
-    assert sub.signal_pairs == (2,)
-    assert sub.noise_pairs == ()
-    assert sub.missing_pairs == (3,)
-    assert sub.has_complete_pair
+    assert sub.signal_count == 1
     assert not sub.touches_all_pairs
     assert not sub.is_aligned
+    assert not RegisterSubset.from_labels("S1,N1,S2,N3", 3).is_aligned
 
     ali = RegisterSubset.from_labels("N1,S2", 2)
     assert ali.is_aligned
@@ -213,7 +228,6 @@ def test_encode_beyond_encoder_capacity():
 
 def test_reduced_state_record():
     rho = ReducedState(2, ("S1",), np.eye(2) / 2)
-    assert rho.num_qudits == 1
     assert rho.dim == 2
     assert rho.purity() == pytest.approx(0.5)
     rho.check()
@@ -221,6 +235,18 @@ def test_reduced_state_record():
         ReducedState(2, ("S1", "N1"), np.eye(2) / 2)
     with pytest.raises(ValueError):
         ReducedState(2, ("S1",), np.array([[1.0, 1.0], [0.0, 0.0]])).check()
+
+
+def test_purity_is_the_trace_of_the_square():
+    # S1,S2,N3 leaks at d = 3 (g = 3), so both states carry complex
+    # off-diagonal entries and are purer than I/27
+    d, n = 3, 3
+    psi = random_states(d, 1, seed=12)[0]
+    sub = RegisterSubset.from_labels("S1,S2,N3", n)
+    for rho in (oracle_reduced(psi, d, n, sub), aligned_reduced(d, sub, psi)):
+        m = rho.matrix
+        assert rho.purity() == pytest.approx(np.trace(m @ m).real, rel=0, abs=1e-15)
+        assert rho.purity() > 1 / d**3 + 1e-4
 
 
 def test_reduced_state_serialization_roundtrip():
@@ -284,13 +310,12 @@ def test_reduce_encoded_matches_density_matrix_route():
         psi = random_states(d, 1, seed=9)[0]
         vec = encode(psi, d, n)
         rho = np.outer(vec, vec.conj())
-        reg = Register(d, n)
         for members in itertools.product(("none", "signal", "noise", "both"), repeat=n):
             if all(m == "none" for m in members):
                 continue
             sub = RegisterSubset(members)
-            keep = [reg.axis(lab) for lab in sub.kept_labels()]
-            viamat = partial_trace(rho, (d,) * reg.size, keep)
+            keep = [layout_axis(lab) for lab in sub.kept_labels()]
+            viamat = partial_trace(rho, (d,) * (2 * n + 1), keep)
             assert_allclose(reduce_encoded(vec, d, n, sub).matrix, viamat, rtol=0, atol=1e-14)
 
 
