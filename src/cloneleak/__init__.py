@@ -26,7 +26,6 @@ from .classify import (
     SweepRow,
     analytic_reduced,
     classify_subset,
-    evaluate_subset,
     is_authorized,
     maximally_mixed,
     run_sweep,
@@ -96,7 +95,6 @@ __all__ = [
     "enc_coefficient_value",
     "encode",
     "enumerate_system",
-    "evaluate_subset",
     "expectation",
     "is_authorized",
     "leaked_words",

@@ -1,11 +1,12 @@
 """Subset taxonomy and the analytic-vs-numeric agreement harness.
 
 Classification is pure arithmetic: the authorization rule, the missing-pair
-rule, and the gcd criterion cover every subset exactly once.  The sweep
-machinery then replays each verdict against brute-force reduced states of
-seeded random inputs, flagging any disagreement, so a green sweep means the
-closed forms and the integer criterion both reproduce the statevector
-truth.
+rule, and the gcd criterion cover every subset exactly once.  ``run_sweep``
+is the entry point for replay: it checks its ``SweepConfig``, encodes each
+register shape once, and replays each verdict against brute-force reduced
+states of seeded random inputs, flagging any disagreement, so a green sweep
+means the closed forms and the integer criterion both reproduce the
+statevector truth.
 """
 
 from __future__ import annotations
@@ -47,11 +48,13 @@ def is_authorized(subset: RegisterSubset) -> bool:
 
 @dataclass(frozen=True)
 class Classification:
-    """Arithmetic verdict for one subset at one dimension."""
+    """Arithmetic verdict for one subset at one dimension; p, q and g only when aligned."""
 
     verdict: str
     authorized: bool
     maximally_mixed: bool
+    p: int | None = None
+    q: int | None = None
     g: int | None = None
     leak: tuple[LeakTerm, ...] = ()
 
@@ -74,25 +77,22 @@ def classify_subset(d: int, subset: RegisterSubset) -> Classification:
     p = subset.signal_count
     sols = solve_aligned_system(d, p, subset.n - p)
     leak = leaked_words(sols)
-    if leak:
-        return Classification(PARTIALLY_INFORMATIVE, False, False, g=sols.g, leak=leak)
-    return Classification(COMPLETELY_UNINFORMATIVE, False, True, g=sols.g)
+    verdict = PARTIALLY_INFORMATIVE if leak else COMPLETELY_UNINFORMATIVE
+    return Classification(verdict, False, not leak, p=p, q=sols.q, g=sols.g, leak=leak)
 
 
-def analytic_reduced(
-    d: int, subset: RegisterSubset, psi: PureState | None = None
-) -> ReducedState | None:
-    """Dispatch to the applicable closed form; None for authorized subsets.
+def analytic_reduced(d: int, subset: RegisterSubset, psi: PureState) -> ReducedState | None:
+    """The closed form of ``psi``'s reduced state; None for authorized subsets.
 
-    Aligned subsets need the input state; missing-pair subsets ignore it.
+    Missing-pair subsets ignore ``psi``: their state is input-free.
     """
     require_dim(d)
+    if psi.d != d:
+        raise ValueError(f"state dimension {psi.d} does not match d={d}")
     if is_authorized(subset):
         return None
     if not subset.touches_all_pairs:
         return missing_pair_subset_reduced(d, subset.n, subset)
-    if psi is None:
-        raise ValueError("aligned closed form needs an input state")
     return aligned_reduced(d, subset, psi)
 
 
@@ -145,10 +145,14 @@ class SweepConfig:
             raise ValueError("family 'named' needs at least one subset")
         if self.subsets and self.family != "named":
             raise ValueError(f"subsets apply only to family 'named', not {self.family!r}")
-        if not isinstance(self.samples, int) or isinstance(self.samples, bool):
-            raise TypeError(f"samples must be an int, got {type(self.samples).__name__}")
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if self.samples < 2:
             raise ValueError("need at least two samples to witness input dependence")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         # NaN fails every comparison, so a NaN tol would pass each "> tol" gate
         if not all(math.isfinite(t) and t > 0 for t in (self.tol, self.witness)):
             raise ValueError("tolerances must be finite and positive")
@@ -331,43 +335,41 @@ def _max_distance(
 
 def evaluate_subset(
     d: int,
-    n: int,
     subset: RegisterSubset,
-    states: Sequence[PureState],
-    encoded: Sequence[np.ndarray] | CapacityError,
-    tol: float,
-    witness: float,
+    samples: Sequence[tuple[PureState, np.ndarray]] | CapacityError,
+    config: SweepConfig,
 ) -> SweepRow:
     """Classify one subset and replay the verdict against the oracle.
 
-    ``encoded`` holds the encoded registers of ``states``, or the
-    CapacityError that stopped them from being built; such a row, and one
-    whose oracle reduced states are too large, is skipped and its note
-    gives the reason.  A distance at or below ``tol`` may be reported as a
-    certified upper bound (see ``_max_distance``); its ``*_bound`` field
-    says so.
+    ``samples`` pairs each input with its encoded register, or is the
+    CapacityError that stopped the shape from being encoded; such a row, and
+    one whose oracle reduced states are too large, is skipped and its note
+    gives the reason.  ``tol`` and ``witness`` come from ``config``.  A
+    distance at or below ``tol`` may be reported as a certified upper bound
+    (see ``_max_distance``); its ``*_bound`` field says so.
     """
+    tol, witness = config.tol, config.witness
     cls = classify_subset(d, subset)
-    p = subset.signal_count if subset.is_aligned else None
-    q = subset.n - p if p is not None else None
     common = dict(
         d=d,
-        n=n,
+        n=subset.n,
         subset=str(subset),
-        p=p,
-        q=q,
+        p=cls.p,
+        q=cls.q,
         g=cls.g,
         verdict=cls.verdict,
         authorized=cls.authorized,
         maximally_mixed=cls.maximally_mixed,
         leak_terms=cls.leak,
     )
+    if not isinstance(samples, CapacityError) and len(samples) != config.samples:
+        raise ValueError(f"expected {config.samples} samples, got {len(samples)}")
     try:
-        if isinstance(encoded, CapacityError):
+        if isinstance(samples, CapacityError):
             # every subset of the shape raises this one error; a fresh
             # traceback keeps it from holding each row's frame
-            raise encoded.with_traceback(None)
-        reduced = [reduce_encoded(vec, d, n, subset) for vec in encoded]
+            raise samples.with_traceback(None)
+        reduced = [reduce_encoded(vec, d, subset.n, subset) for _, vec in samples]
     except CapacityError as exc:
         return SweepRow(
             **common,
@@ -382,46 +384,38 @@ def evaluate_subset(
         list(itertools.combinations(reduced, 2)), tol, witness
     )
 
-    notes: list[str] = []
     analytic_dist: float | None = None
     analytic_bound: bool | None = None
     if not cls.authorized:
         # no CapacityError here: each closed form guards the same side d^size
         # against the REDUCED_SIDE_LIMIT that reduce_encoded has just passed
-        if subset.touches_all_pairs:
-            closed = [analytic_reduced(d, subset, psi) for psi in states]
+        if cls.p is not None:
+            closed = [aligned_reduced(d, subset, psi) for psi, _ in samples]
         else:  # input-free: one closed form serves every sample
-            closed = [analytic_reduced(d, subset)] * len(states)
+            closed = [missing_pair_subset_reduced(d, subset.n, subset)] * len(reduced)
         analytic_dist, analytic_bound = _max_distance(list(zip(closed, reduced)), tol, witness)
 
-    agree = True
+    notes: list[str] = []  # each is a disagreement; the row agrees when none is found
     if analytic_dist is not None and analytic_dist > tol:
-        agree = False
         notes.append("closed form disagrees with oracle")
-    independent = oracle_max <= tol
     if cls.verdict == COMPLETELY_UNINFORMATIVE:
-        if not independent:
-            agree = False
+        if not oracle_max <= tol:
             notes.append("verdict says input-independent, oracle disagrees")
         mixed = maximally_mixed(d, subset.size)
         mixed_dist, _ = _max_distance([(rho, mixed) for rho in reduced], tol, witness)
         if cls.maximally_mixed and mixed_dist > tol:
-            agree = False
             notes.append("flagged maximally mixed, oracle disagrees")
         if not cls.maximally_mixed and mixed_dist < witness:
-            agree = False
             notes.append("flagged non-mixed, oracle looks maximally mixed")
-    else:
-        if oracle_max < witness:
-            agree = False
-            notes.append("verdict says input-dependent, oracle looks independent")
+    elif oracle_max < witness:
+        notes.append("verdict says input-dependent, oracle looks independent")
     return SweepRow(
         **common,
         oracle_max_distance=oracle_max,
         oracle_max_bound=oracle_bound,
         analytic_oracle_distance=analytic_dist,
         analytic_bound=analytic_bound,
-        agree=agree,
+        agree=not notes,
         note="; ".join(notes),
     )
 
@@ -431,16 +425,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     rows: list[SweepRow] = []
     for d in config.dims:
         for n in config.ns:
-            subsets = _subsets_for(config, n)
             states = random_states(d, config.samples, config.seed)
             try:
-                encoded = [encode(psi, d, n) for psi in states]
+                samples = [(psi, encode(psi, d, n)) for psi in states]
             except CapacityError as exc:
-                encoded = exc
-            for subset in subsets:
-                rows.append(
-                    evaluate_subset(
-                        d, n, subset, states, encoded, config.tol, config.witness
-                    )
-                )
+                samples = exc
+            for subset in _subsets_for(config, n):
+                rows.append(evaluate_subset(d, subset, samples, config))
     return SweepReport(config=config, rows=tuple(rows))

@@ -58,8 +58,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     print(f"authorized: {'yes' if cls.authorized else 'no'}")
     print(f"maximally mixed: {'yes' if cls.maximally_mixed else 'no'}")
     if cls.g is not None:
-        p = subset.signal_count
-        print(f"aligned shape: p={p}, q={subset.n - p}, g={cls.g}")
+        print(f"aligned shape: p={cls.p}, q={cls.q}, g={cls.g}")
     for term in cls.leak:
         print(
             f"leak: (a={term.a}, b={term.b}) "

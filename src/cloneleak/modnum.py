@@ -77,8 +77,6 @@ def solve_aligned_system(d: int, p: int, q: int) -> CongruenceSolutionSet:
     (p*(q+1) - 1) * b = 0 (mod d), whose solutions are the g multiples of
     d/g with g = gcd(d, p*(q+1) - 1).
     """
-    require_dim(d)
-    _require_shape(p, q)
     g = system_gcd(d, p, q)
     step = d // g
     sols = tuple(((-p * v * step) % d, (v * step) % d) for v in range(g))

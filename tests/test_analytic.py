@@ -43,7 +43,7 @@ def word_basis_element(d, p, q, a, b):
     return kron_all([sig] * p + [noi] * q)
 
 
-def test_descriptor_basics():
+def test_aligned_subset_shape_and_solution_set():
     sub = RegisterSubset.aligned(3, 2)
     assert (sub.signal_count, sub.n - sub.signal_count) == (2, 1)
     sols = solve_aligned_system(6, 2, 1)
@@ -55,7 +55,7 @@ def test_descriptor_basics():
         RegisterSubset.aligned(0, 0)
 
 
-def test_descriptor_of_subset():
+def test_aligned_reduced_keeps_subset_labels():
     psi = random_states(3, 1, seed=0)[0]
     rho = aligned_reduced(3, RegisterSubset.from_labels("N1,S2", 2), psi)
     assert rho.labels == ("S2", "N1")

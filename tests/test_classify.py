@@ -23,12 +23,26 @@ from cloneleak.classify import (
     trace_distance,
 )
 from cloneleak.pauli import random_states
-from cloneleak.protocol import CapacityError, ReducedState, RegisterSubset, encode, reduce_encoded
+from cloneleak.protocol import (
+    MEMBERSHIPS,
+    NONE,
+    CapacityError,
+    ReducedState,
+    RegisterSubset,
+    encode,
+    reduce_encoded,
+)
 from oracle_helpers import numeric_independence_test
 
 
 def sub(labels, n):
     return RegisterSubset.from_labels(labels, n)
+
+
+def replay(d, labels, n, config):
+    # one row as run_sweep builds it: config's seeded inputs, each encoded
+    states = random_states(d, config.samples, config.seed)
+    return evaluate_subset(d, sub(labels, n), [(psi, encode(psi, d, n)) for psi in states], config)
 
 
 def test_is_authorized_examples():
@@ -76,6 +90,18 @@ def test_classify_partially_informative():
     assert not cls.maximally_mixed
     assert cls.g == 2
     assert [(t.a, t.b) for t in cls.leak] == [(2, 2)]
+    assert (cls.p, cls.q) == (1, 2)
+    # the aligned shape is set exactly for aligned subsets
+    for n in (1, 2, 3):
+        for members in itertools.product(MEMBERSHIPS, repeat=n):
+            if set(members) == {NONE}:
+                continue
+            subset = RegisterSubset(members)
+            cls = classify_subset(4, subset)
+            if subset.is_aligned:
+                assert (cls.p, cls.q) == (subset.signal_count, n - subset.signal_count)
+            else:
+                assert cls.p is None and cls.q is None
 
 
 def test_classify_uninformative_aligned():
@@ -115,11 +141,14 @@ def test_analytic_reduced_dispatch():
     ali = analytic_reduced(3, sub("S1,N2", 2), psi)
     direct = aligned_reduced(3, sub("S1,N2", 2), psi)
     assert_allclose(ali.matrix, direct.matrix, atol=1e-14)
-    gap = analytic_reduced(3, sub("S1,N1", 2))
+    gap = analytic_reduced(3, sub("S1,N1", 2), psi)
     direct = missing_pair_subset_reduced(3, 2, sub("S1,N1", 2))
     assert_allclose(gap.matrix, direct.matrix, atol=1e-14)
-    with pytest.raises(ValueError):
-        analytic_reduced(3, sub("S1,N2", 2))  # aligned needs a state
+    with pytest.raises(TypeError):
+        analytic_reduced(3, sub("S1,N2", 2))  # the input state is required
+    for labels in ("S1,N1", "S1,N2", "S1,N1,S2"):  # every branch checks the state
+        with pytest.raises(ValueError, match="does not match d=2"):
+            analytic_reduced(2, sub(labels, 2), psi)
 
 
 def test_trace_distance_examples():
@@ -167,9 +196,8 @@ def test_numeric_independence_examples():
 
 def test_evaluate_subset_row_contents():
     d, n = 3, 2
-    states = random_states(d, 5, seed=9)
-    encoded = [encode(psi, d, n) for psi in states]
-    row = evaluate_subset(d, n, sub("S1,N2", n), states, encoded, tol=1e-9, witness=1e-6)
+    config = SweepConfig(dims=(d,), ns=(n,), samples=5, seed=9)
+    row = replay(d, "S1,N2", n, config)
     assert row.agree and row.note == ""
     assert (row.p, row.q, row.g) == (1, 1, 1)
     assert row.verdict == COMPLETELY_UNINFORMATIVE
@@ -178,7 +206,7 @@ def test_evaluate_subset_row_contents():
     assert row.analytic_oracle_distance < 1e-9
     assert row.oracle_max_bound is True and row.analytic_bound is True
 
-    row = evaluate_subset(d, n, sub("S1,N1,S2", n), states, encoded, tol=1e-9, witness=1e-6)
+    row = replay(d, "S1,N1,S2", n, config)
     assert row.verdict == FULLY_INFORMATIVE
     assert row.analytic_oracle_distance is None
     assert row.analytic_bound is None
@@ -195,9 +223,9 @@ def test_evaluate_subset_row_contents():
 
 
 def test_evaluate_subset_capacity_row():
-    states = random_states(2, 2, seed=0)
+    config = SweepConfig(dims=(2,), ns=(2,), samples=2, seed=0)
     skipped = CapacityError("register size d^(2n+1)", 32, 16)
-    row = evaluate_subset(2, 2, sub("S1,N2", 2), states, skipped, tol=1e-9, witness=1e-6)
+    row = evaluate_subset(2, sub("S1,N2", 2), skipped, config)
     assert row.agree
     assert row.note == "capacity: register size d^(2n+1) = 32 exceeds limit 16"
     assert row.oracle_max_distance is None
@@ -207,11 +235,18 @@ def test_evaluate_subset_flags_unreasonable_witness():
     # a witness above every achievable distance must surface as a mismatch,
     # proving the harness can actually fail
     d, n = 2, 1
-    states = random_states(d, 4, seed=3)
-    encoded = [encode(psi, d, n) for psi in states]
-    row = evaluate_subset(d, n, sub("S1,N1", n), states, encoded, tol=1e-9, witness=5.0)
+    row = replay(d, "S1,N1", n, SweepConfig(dims=(d,), ns=(n,), samples=4, seed=3, witness=5.0))
     assert not row.agree
     assert "input-dependent" in row.note
+
+
+def test_evaluate_subset_rejects_a_sample_count_off_its_config():
+    # one sample has no pair to witness input dependence with
+    d, n = 3, 1
+    config = SweepConfig(dims=(d,), ns=(n,), samples=4, seed=3)
+    psi = random_states(d, 1, seed=3)[0]
+    with pytest.raises(ValueError, match="expected 4 samples, got 1"):
+        evaluate_subset(d, sub("S1", n), [(psi, encode(psi, d, n))], config)
 
 
 def test_sweep_config_validation():
@@ -240,6 +275,11 @@ def test_sweep_config_validation():
     for bad_samples in (2.5, True):
         with pytest.raises(TypeError):
             SweepConfig(dims=(2,), ns=(1,), samples=bad_samples)
+    for bad_seed in (2.5, True):
+        with pytest.raises(TypeError):
+            SweepConfig(dims=(2,), ns=(1,), seed=bad_seed)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SweepConfig(dims=(2,), ns=(1,), seed=-1)
     for grid in (dict(dims=(3, 1), ns=(1,)), dict(dims=(2,), ns=(2, 0))):
         with pytest.raises(ValueError):
             SweepConfig(**grid)
@@ -259,7 +299,12 @@ def test_run_sweep_aligned_grid_agrees():
     assert verdicts == {PARTIALLY_INFORMATIVE, COMPLETELY_UNINFORMATIVE}
 
 
-def test_run_sweep_all_family_agrees():
+def test_run_sweep_all_family_agrees(monkeypatch):
+    # each row takes its closed form from its classification, not the dispatcher
+    def unused(*args):
+        raise AssertionError("a sweep row called analytic_reduced")
+
+    monkeypatch.setattr(classify, "analytic_reduced", unused)
     config = SweepConfig(dims=(2,), ns=(2,), family="all", samples=5, seed=4)
     report = run_sweep(config)
     assert len(report.rows) == 15
@@ -334,10 +379,8 @@ def test_sweep_summary_line():
 def test_reduce_capacity_becomes_a_skipped_row():
     # 2^15 amplitudes encode fine; keeping 13 qudits asks for a side of 2^13
     d, n = 2, 7
-    states = random_states(d, 2, seed=0)
-    encoded = [encode(psi, d, n) for psi in states]
-    subset = sub("S1,N1,S2,N2,S3,N3,S4,N4,S5,N5,S6,N6,S7", n)
-    row = evaluate_subset(d, n, subset, states, encoded, tol=1e-9, witness=1e-6)
+    config = SweepConfig(dims=(d,), ns=(n,), samples=2, seed=0)
+    row = replay(d, "S1,N1,S2,N2,S3,N3,S4,N4,S5,N5,S6,N6,S7", n, config)
     assert row.agree
     assert row.note == "capacity: kept side d^size = 8192 exceeds limit 4096"
     assert row.oracle_max_distance is None and row.oracle_max_bound is None
@@ -347,20 +390,22 @@ def test_closed_form_gate_stays_exact_above_tol(monkeypatch):
     # a closed form off by a traceless perturbation of trace distance 10*tol
     # must fail the gate with its exact distance, not a bound
     tol = 1e-9
-    inner = analytic_reduced
 
-    def perturbed(d, subset, psi=None):
-        state = inner(d, subset, psi)
-        bump = np.zeros_like(state.matrix)
-        bump[0, 0], bump[1, 1] = 10 * tol, -10 * tol
-        return ReducedState(state.d, state.labels, state.matrix + bump)
+    def perturbed(inner):
+        def closed_form(*args):
+            state = inner(*args)
+            bump = np.zeros_like(state.matrix)
+            bump[0, 0], bump[1, 1] = 10 * tol, -10 * tol
+            return ReducedState(state.d, state.labels, state.matrix + bump)
 
-    monkeypatch.setattr(classify, "analytic_reduced", perturbed)
+        return closed_form
+
+    for name in ("aligned_reduced", "missing_pair_subset_reduced"):
+        monkeypatch.setattr(classify, name, perturbed(getattr(classify, name)))
     d, n = 3, 2
-    states = random_states(d, 4, seed=5)
-    encoded = [encode(psi, d, n) for psi in states]
+    config = SweepConfig(dims=(d,), ns=(n,), samples=4, seed=5, tol=tol, witness=1e-6)
     for labels in ("S1,N2", "S1,N1"):  # aligned, then missing a pair
-        row = evaluate_subset(d, n, sub(labels, n), states, encoded, tol=tol, witness=1e-6)
+        row = replay(d, labels, n, config)
         assert not row.agree
         assert "closed form disagrees with oracle" in row.note
         assert row.analytic_bound is False
@@ -459,14 +504,14 @@ def test_bound_never_decides_a_witness_gate():
     # could pass "input-dependent" where the exact value fails it
     d, n = 3, 1
     states = random_states(d, 2, seed=3)
-    encoded = [encode(psi, d, n) for psi in states]
     subset = sub("S1,N1", n)
-    first, second = (reduce_encoded(vec, d, n, subset).matrix for vec in encoded)
+    first, second = (reduce_encoded(encode(psi, d, n), d, n, subset).matrix for psi in states)
     exact = trace_distance(first, second)
     bound = 0.5 * np.sqrt(len(first)) * np.linalg.norm(first - second)
     assert exact < 0.9 * bound
     witness = (exact + bound) / 2
-    row = evaluate_subset(d, n, subset, states, encoded, tol=10.0, witness=witness)
+    config = SweepConfig(dims=(d,), ns=(n,), samples=2, seed=3, tol=10.0, witness=witness)
+    row = replay(d, "S1,N1", n, config)
     assert not row.agree
     assert "oracle looks independent" in row.note
     assert row.oracle_max_bound is False and row.oracle_max_distance == exact
