@@ -34,6 +34,7 @@ from .protocol import (
     kron_all,
     permute_subsystems,
     require_capacity,
+    require_pairs,
 )
 
 
@@ -123,8 +124,7 @@ def missing_pair_reduced(d: int, n: int, missing: int) -> ReducedState:
     other pair whole.
     """
     require_dim(d)
-    if n < 1:
-        raise ValueError(f"need at least one pair, got n={n}")
+    require_pairs(n)
     if not 1 <= missing <= n:
         raise ValueError(f"missing pair {missing} outside 1..{n}")
     if n == 1:

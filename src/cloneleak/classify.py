@@ -153,6 +153,9 @@ class SweepConfig:
             raise ValueError("need at least two samples to witness input dependence")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("tol", "witness"):  # True would pass as 1
+            if isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a real number, got bool")
         # NaN fails every comparison, so a NaN tol would pass each "> tol" gate
         if not all(math.isfinite(t) and t > 0 for t in (self.tol, self.witness)):
             raise ValueError("tolerances must be finite and positive")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -175,10 +176,9 @@ def _add_register_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_replay_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--samples", type=int, default=10)
-    sub.add_argument("--seed", type=int, default=7)
-    sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--witness", type=float, default=1e-6)
+    for field in fields(SweepConfig):
+        if field.name in ("samples", "seed", "tol", "witness"):
+            sub.add_argument(f"--{field.name}", type=type(field.default), default=field.default)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -225,14 +225,6 @@ class ReducedState:
         }
 
 
-def bell_state(d: int) -> np.ndarray:
-    """Maximally entangled pair (1/sqrt(d)) sum_k |kk> as a length-d^2 vector."""
-    require_dim(d)
-    vec = np.zeros(d * d, dtype=complex)
-    vec[:: d + 1] = 1.0 / np.sqrt(d)
-    return vec
-
-
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of a sequence, empty product being the 1x1 identity."""
     out = np.ones((1, 1), dtype=complex)

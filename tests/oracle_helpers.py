@@ -3,7 +3,8 @@
 ``single_clone_reduced`` is the aligned closed form written out for one kept
 signal qudit at n = 1, and ``numeric_independence_test`` takes the exact
 largest pairwise trace distance of oracle states, one ``trace_distance``
-per pair, with no bound in between.
+per pair, with no bound in between.  ``bell_state`` is the pair state the
+encoder prepares, written out as a vector for the dense reference routes.
 """
 
 import itertools
@@ -15,6 +16,14 @@ from cloneleak.classify import trace_distance
 from cloneleak.modnum import require_dim
 from cloneleak.pauli import PauliWord, PureState, expectation, phase_value, random_states
 from cloneleak.protocol import ReducedState, RegisterSubset, encode, reduce_encoded
+
+
+def bell_state(d: int) -> np.ndarray:
+    """Maximally entangled pair (1/sqrt(d)) sum_k |kk> as a length-d^2 vector."""
+    require_dim(d)
+    vec = np.zeros(d * d, dtype=complex)
+    vec[:: d + 1] = 1.0 / np.sqrt(d)
+    return vec
 
 
 def single_clone_reduced(psi: PureState, d: int) -> ReducedState:

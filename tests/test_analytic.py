@@ -323,6 +323,11 @@ def test_missing_pair_reduced_validation():
         missing_pair_reduced(3, 2, 3)
     with pytest.raises(CapacityError):
         missing_pair_reduced(5, 4, 1)  # a kept side of 5^6 overflows the guard
+    with pytest.raises(ValueError, match="at least one signal/noise pair"):
+        missing_pair_reduced(2, 0, 1)
+    for bad_n in (True, 2.0):  # True once gave a 1x1 state, 2.0 a numpy error
+        with pytest.raises(TypeError, match="pair count must be an int"):
+            missing_pair_reduced(2, bad_n, 1)
 
 
 def test_missing_pair_subset_reduced_matches_oracle():

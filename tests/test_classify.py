@@ -278,6 +278,9 @@ def test_sweep_config_validation():
     for bad_seed in (2.5, True):
         with pytest.raises(TypeError):
             SweepConfig(dims=(2,), ns=(1,), seed=bad_seed)
+    for name in ("tol", "witness"):  # True would run every gate at a distance of 1
+        with pytest.raises(TypeError):
+            SweepConfig(dims=(2,), ns=(1,), **{name: True})
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         SweepConfig(dims=(2,), ns=(1,), seed=-1)
     for grid in (dict(dims=(3, 1), ns=(1,)), dict(dims=(2,), ns=(2, 0))):

