@@ -20,6 +20,7 @@ of Bell-basis product states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -87,28 +88,39 @@ def leaked_words(sols: CongruenceSolutionSet) -> tuple[LeakTerm, ...]:
     )
 
 
-def aligned_reduced(d: int, subset: RegisterSubset, psi: PureState) -> ReducedState:
+def aligned_reduced(
+    d: int, subset: RegisterSubset, psi: PureState | Sequence[PureState]
+) -> ReducedState | list[ReducedState]:
     """Closed-form reduced state of an aligned subset, canonical qudit order.
 
     The maximally mixed background I/d^n plus one tensor-product term per
     leaked word: its signal factor on each kept signal, its noise factor on
-    each kept noise.
+    each kept noise.  A sequence of states gives a list with one state per
+    input; each word's n-fold Kronecker matrix is then built once for all of
+    them, and each state is bit-identical to the one its input gives alone.
     """
     if not subset.is_aligned:
         raise ValueError(f"subset {subset} is not aligned")
     p = subset.signal_count
     q = subset.n - p
     sols = solve_aligned_system(d, p, q)
-    if psi.d != d:
-        raise ValueError(f"state dimension {psi.d} does not match d={d}")
+    states = [psi] if isinstance(psi, PureState) else list(psi)
+    for state in states:
+        if state.d != d:
+            raise ValueError(f"state dimension {state.d} does not match d={d}")
     side = d**subset.n
     require_capacity("reduced side d^n", side, REDUCED_SIDE_LIMIT)
-    acc = np.eye(side, dtype=complex)
+    acc = np.empty((len(states), side, side), dtype=complex)
+    acc[:] = np.eye(side)
     for term in leaked_words(sols):
         sig, noi = term.signal_word(), term.noise_word()
-        amp = term.coefficient * expectation(psi, sig)
-        acc += amp * kron_all([sig.matrix()] * p + [noi.matrix()] * q)
-    return ReducedState(d=d, labels=subset.kept_labels(), matrix=acc / side)
+        word = kron_all([sig.matrix()] * p + [noi.matrix()] * q)
+        for state, mat in zip(states, acc):
+            mat += term.coefficient * expectation(state, sig) * word
+    acc /= side
+    labels = subset.kept_labels()
+    reduced = [ReducedState(d=d, labels=labels, matrix=mat) for mat in acc]
+    return reduced[0] if isinstance(psi, PureState) else reduced
 
 
 def missing_pair_reduced(d: int, n: int, missing: int) -> ReducedState:
@@ -125,6 +137,8 @@ def missing_pair_reduced(d: int, n: int, missing: int) -> ReducedState:
     """
     require_dim(d)
     require_pairs(n)
+    if not isinstance(missing, int) or isinstance(missing, bool):
+        raise TypeError(f"missing pair must be an int, got {type(missing).__name__}")
     if not 1 <= missing <= n:
         raise ValueError(f"missing pair {missing} outside 1..{n}")
     if n == 1:

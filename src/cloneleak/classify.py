@@ -339,17 +339,20 @@ def _max_distance(
 def evaluate_subset(
     d: int,
     subset: RegisterSubset,
-    samples: Sequence[tuple[PureState, np.ndarray]] | CapacityError,
+    states: Sequence[PureState],
+    registers: np.ndarray | CapacityError,
     config: SweepConfig,
 ) -> SweepRow:
     """Classify one subset and replay the verdict against the oracle.
 
-    ``samples`` pairs each input with its encoded register, or is the
-    CapacityError that stopped the shape from being encoded; such a row, and
-    one whose oracle reduced states are too large, is skipped and its note
-    gives the reason.  ``tol`` and ``witness`` come from ``config``.  A
-    distance at or below ``tol`` may be reported as a certified upper bound
-    (see ``_max_distance``); its ``*_bound`` field says so.
+    ``registers`` holds the encoded register of each of ``states``, one per
+    row, or is the CapacityError that stopped the shape from being encoded;
+    such a row, and one whose oracle reduced states are too large, is
+    skipped and its note gives the reason.  All registers are reduced in one
+    ``reduce_encoded`` call, and all aligned closed forms in one
+    ``aligned_reduced`` call.  ``tol`` and ``witness`` come from ``config``.
+    A distance at or below ``tol`` may be reported as a certified upper
+    bound (see ``_max_distance``); its ``*_bound`` field says so.
     """
     tol, witness = config.tol, config.witness
     cls = classify_subset(d, subset)
@@ -365,14 +368,16 @@ def evaluate_subset(
         maximally_mixed=cls.maximally_mixed,
         leak_terms=cls.leak,
     )
-    if not isinstance(samples, CapacityError) and len(samples) != config.samples:
-        raise ValueError(f"expected {config.samples} samples, got {len(samples)}")
+    if len(states) != config.samples:
+        raise ValueError(f"expected {config.samples} samples, got {len(states)}")
+    if not isinstance(registers, CapacityError) and len(registers) != len(states):
+        raise ValueError(f"{len(states)} states but {len(registers)} registers")
     try:
-        if isinstance(samples, CapacityError):
+        if isinstance(registers, CapacityError):
             # every subset of the shape raises this one error; a fresh
             # traceback keeps it from holding each row's frame
-            raise samples.with_traceback(None)
-        reduced = [reduce_encoded(vec, d, subset.n, subset) for _, vec in samples]
+            raise registers.with_traceback(None)
+        reduced = reduce_encoded(registers, d, subset.n, subset)
     except CapacityError as exc:
         return SweepRow(
             **common,
@@ -393,7 +398,7 @@ def evaluate_subset(
         # no CapacityError here: each closed form guards the same side d^size
         # against the REDUCED_SIDE_LIMIT that reduce_encoded has just passed
         if cls.p is not None:
-            closed = [aligned_reduced(d, subset, psi) for psi, _ in samples]
+            closed = aligned_reduced(d, subset, states)
         else:  # input-free: one closed form serves every sample
             closed = [missing_pair_subset_reduced(d, subset.n, subset)] * len(reduced)
         analytic_dist, analytic_bound = _max_distance(list(zip(closed, reduced)), tol, witness)
@@ -430,9 +435,10 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         for n in config.ns:
             states = random_states(d, config.samples, config.seed)
             try:
-                samples = [(psi, encode(psi, d, n)) for psi in states]
+                registers = encode(states, d, n)
             except CapacityError as exc:
-                samples = exc
+                registers = exc
             for subset in _subsets_for(config, n):
-                rows.append(evaluate_subset(d, subset, samples, config))
+                rows.append(evaluate_subset(d, subset, states, registers, config))
+            del registers  # free this shape's registers before the next is encoded
     return SweepReport(config=config, rows=tuple(rows))

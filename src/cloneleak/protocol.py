@@ -9,9 +9,15 @@ layout is read.
 Encoding applies (1/d) * sum_{k,l} c_kl (X^k Z^l) on A and every signal
 qudit simultaneously, with c_kl the exact phases from
 :func:`cloneleak.pauli.enc_coefficient`.  Reduced states of register subsets
-are produced here by direct contraction of the statevector, with no appeal
-to any closed form; the analytic module reproduces them the other way
-around, which is what makes the cross-check meaningful.
+are produced here by an exact partial trace of the full register
+statevector, with no appeal to any closed form; the analytic module
+reproduces them the other way around, which is what makes the cross-check
+meaningful.  The trace runs over the statevector's nonzero support: it
+multiplies only amplitudes that share a traced index, so on an encoded
+register, whose d^(2n+1) amplitudes hold only d^(n+2) nonzeros, it skips
+the zeros a dense contraction would multiply.  It learns the support from
+the amplitudes alone, never from the encoder's structure, so it is exact
+for any vector.
 
 Reduced states keep their qudits in a canonical order: selected signal
 qudits ascending by pair index, then selected noise qudits ascending.
@@ -252,7 +258,7 @@ def build_encoder(d: int, n: int) -> np.ndarray:
     return out / d
 
 
-def encode(psi: PureState, d: int, n: int) -> np.ndarray:
+def encode(psi: PureState | Sequence[PureState], d: int, n: int) -> np.ndarray:
     """Encoded register statevector in the fixed global layout.
 
     The (k, l) branch is c_kl * (X^k Z^l |psi>) (x) ((X^k Z^l (x) I)|Bell>)^{(x)n};
@@ -260,69 +266,114 @@ def encode(psi: PureState, d: int, n: int) -> np.ndarray:
     together, one row each, with the 1/d folded into the coefficients, and
     the last pair factor and the sum over branches are one matmul whose
     result is the register.  This never materializes the encoder, so it
-    reaches register sizes the dense unitary cannot.  Raises CapacityError
-    when the register or the d^2 x d^2 pair table, the larger object at
-    n = 1, exceeds ``STATE_AMPLITUDE_LIMIT``.
+    reaches register sizes the dense unitary cannot.  A sequence of states
+    gives a (len, d^(2n+1)) array with one register per row: the word and
+    pair tables are built once, and each row is written in place by its
+    matmul, so a row is bit-identical to encoding its state alone.  Raises
+    CapacityError when the register or the d^2 x d^2 pair table, the larger
+    object at n = 1, exceeds ``STATE_AMPLITUDE_LIMIT``.
     """
     require_dim(d)
     require_pairs(n)
-    if psi.d != d:
-        raise ValueError(f"state dimension {psi.d} does not match register dimension {d}")
+    states = [psi] if isinstance(psi, PureState) else list(psi)
+    for state in states:
+        if state.d != d:
+            raise ValueError(f"state dimension {state.d} does not match register dimension {d}")
     require_capacity("register size d^(2n+1)", d ** (2 * n + 1), STATE_AMPLITUDE_LIMIT)
     require_capacity("encoder pair table d^4", d**4, STATE_AMPLITUDE_LIMIT)
     kl = [(k, l) for k in range(d) for l in range(d)]
     words = np.array([PauliWord(d, a=k, b=l).matrix() for k, l in kl])
     coeffs = np.array([enc_coefficient_value(d, k, l) for k, l in kl]) / d
-    branches = coeffs[:, None] * (words @ psi.amplitudes)
     # (X^k Z^l (x) I)|Bell> lists the entries of X^k Z^l row by row, over sqrt(d)
     pairs = words.reshape(d * d, -1) / np.sqrt(d)
-    for _ in range(n - 1):
-        branches = (branches[:, :, None] * pairs[:, None, :]).reshape(d * d, -1)
-    return (branches.T @ pairs).reshape(-1)
+    out = np.empty((len(states), d ** (2 * n + 1)), dtype=complex)
+    for state, register in zip(states, out):
+        branches = coeffs[:, None] * (words @ state.amplitudes)
+        for _ in range(n - 1):
+            branches = (branches[:, :, None] * pairs[:, None, :]).reshape(d * d, -1)
+        np.matmul(branches.T, pairs, out=register.reshape(-1, d * d))
+    return out[0] if isinstance(psi, PureState) else out
 
 
-def _gram(parts: np.ndarray) -> np.ndarray:
-    """m @ m^H from the real matrix R = [Re m | Im m].
-
-    Re(m m^H) = R R^T is one symmetric rank-k product and Im(m m^H) = C - C^T
-    with C = Im m (Re m)^T one real matmul: about half the flops of the
-    complex product, and the result is exactly Hermitian.
-    """
-    cols = parts.shape[1] // 2
-    out = np.empty((len(parts), len(parts)), dtype=complex)
-    out.real = parts @ parts.T
-    c = parts[:, cols:] @ parts[:, :cols].T
-    out.imag = c - c.T
-    return out
+# Products that reduce_encoded holds at once, counted over the whole batch,
+# so that its scratch memory is a few MB however dense the input: unchunked,
+# a dense register keeping a side of 512 peaks above 80 MB for a 4 MB output.
+_PAIR_CHUNK = 1 << 15
 
 
-def reduce_encoded(vec: np.ndarray, d: int, n: int, subset: RegisterSubset) -> ReducedState:
-    """Contract an encoded statevector down to the selected qudits.
+def reduce_encoded(
+    vec: np.ndarray, d: int, n: int, subset: RegisterSubset
+) -> ReducedState | list[ReducedState]:
+    """Contract encoded statevectors down to the selected qudits.
 
-    The source qudit and every unselected register qudit are traced out
-    without forming the d^(2n+1) density matrix.  The statevector is read
-    as real numbers with a trailing re/im axis; one transpose puts the kept
-    axes first and that axis between them and the traced axes, so the
-    kept-by-traced matrix m arrives as [Re m | Im m] in a single copy, and
-    m @ m^H is assembled from real products (see ``_gram``).  The result is
-    exactly Hermitian.  Raises CapacityError when the kept side d^size
-    exceeds ``REDUCED_SIDE_LIMIT``.
+    ``vec`` is one register of d^(2n+1) amplitudes, which gives one
+    ReducedState, or a (samples, d^(2n+1)) array of registers, which gives a
+    list with one state per row.  The source qudit and every unselected
+    qudit are traced out exactly, without forming a density matrix.  Each
+    nonzero amplitude's flat index splits into a kept row i and a traced
+    column t, and rho = sum_t m_t m_t^H is accumulated from the products of
+    the entries that share a column: sum_t c_t^2 products, with c_t the
+    number of nonzeros in column t.  A dense Gram costs side^2 times the
+    number of columns instead: for an aligned subset of an encoded
+    register, where every column holds d nonzeros, (side/d)^2 times more.
+    The support is read from the amplitudes' exact zeros alone, so the
+    route is exact for any vector, dense ones included.
+
+    A batch is reduced over the union of its rows' supports, so that plan is
+    built once.  Each product is formed in real arithmetic and added in
+    place, entry by entry in column order, so a batched call and one call
+    per register give bit-identical matrices, and the products of entries a
+    and b and of b and a are exact conjugates added in the same order, so
+    the result is exactly Hermitian.  Products are expanded ``_PAIR_CHUNK``
+    at a time: beside its output the call holds O(nonzeros) plan arrays and
+    a fixed scratch of a few MB, however dense the input.  Raises
+    CapacityError when the kept side d^size exceeds ``REDUCED_SIDE_LIMIT``.
     """
     require_dim(d)
     require_pairs(n)
     if subset.n != n:
         raise ValueError(f"subset spans {subset.n} pairs, register has {n}")
     size = 2 * n + 1
-    vec = np.ascontiguousarray(vec, dtype=complex).reshape(-1)
-    if vec.shape != (d**size,):
-        raise ValueError(f"expected {d**size} amplitudes, got {vec.shape}")
+    vecs = np.asarray(vec, dtype=complex)
+    if vecs.ndim not in (1, 2) or vecs.shape[-1] != d**size:
+        raise ValueError(f"expected registers of {d**size} amplitudes, got shape {vecs.shape}")
     keep_axes = list(subset.kept_axes())
     side = d ** len(keep_axes)
     require_capacity("kept side d^size", side, REDUCED_SIDE_LIMIT)
+    batch = vecs.reshape(-1, d**size)
+    support = np.zeros(d**size, dtype=bool)
+    for register in batch:
+        support |= register != 0
+    flat = np.flatnonzero(support)
+    digits = np.unravel_index(flat, (d,) * size)
     traced = [ax for ax in range(size) if ax not in keep_axes]
-    tensor = vec.view(np.float64).reshape((d,) * size + (2,))
-    parts = np.transpose(tensor, keep_axes + [size] + traced).reshape(side, -1)
-    return ReducedState(d=d, labels=subset.kept_labels(), matrix=_gram(parts))
+    rows = np.ravel_multi_index([digits[ax] for ax in keep_axes], (d,) * len(keep_axes))
+    cols = np.ravel_multi_index([digits[ax] for ax in traced], (d,) * len(traced))
+    order = np.argsort(cols * side + rows)  # by column, then by row
+    rows, cols = rows[order], cols[order]
+    values = batch[:, flat][:, order]
+    re, im = np.ascontiguousarray(values.real), np.ascontiguousarray(values.imag)
+    # entry e pairs with every entry of its column, itself included
+    first = np.searchsorted(cols, cols, side="left")
+    counts = np.searchsorted(cols, cols, side="right") - first
+    ends = np.cumsum(counts)
+    per_chunk = max(1, _PAIR_CHUNK // max(1, len(batch)))
+    out = np.zeros((len(batch), side, side), dtype=complex)
+    base = (side * side * np.arange(len(batch)))[:, None]
+    lo = 0
+    while lo < len(counts):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + per_chunk, "right")))
+        c = counts[lo:hi]
+        a = np.repeat(np.arange(lo, hi), c)
+        b = np.repeat(first[lo:hi] - np.cumsum(c) + c, c) + np.arange(len(a))
+        ra, ia, rb, ib = re[:, a], im[:, a], re[:, b], im[:, b]
+        prod = np.empty(ra.shape, dtype=complex)
+        prod.real, prod.imag = ra * rb + ia * ib, ia * rb - ra * ib  # m_a conj(m_b)
+        np.add.at(out.reshape(-1), (rows[a] * side + rows[b] + base).reshape(-1), prod.reshape(-1))
+        lo = hi
+    labels = subset.kept_labels()
+    reduced = [ReducedState(d=d, labels=labels, matrix=m) for m in out]
+    return reduced[0] if vecs.ndim == 1 else reduced
 
 
 def oracle_reduced(psi: PureState, d: int, n: int, subset: RegisterSubset) -> ReducedState:

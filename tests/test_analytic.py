@@ -135,9 +135,12 @@ def test_leaked_words_empty_iff_g_one():
 def test_aligned_reduced_matches_oracle():
     grid = [(d, n) for d in (2, 3, 4, 5) for n in (1, 2)] + [(2, 3), (3, 3)]
     for d, n in grid:
-        for psi in random_states(d, 2, seed=d * 7 + n):
-            for p in range(n + 1):
+        states = random_states(d, 2, seed=d * 7 + n)
+        for p in range(n + 1):
+            batched = aligned_reduced(d, RegisterSubset.aligned(n, p), states)
+            for psi, together in zip(states, batched):
                 closed = aligned_reduced(d, RegisterSubset.aligned(n, p), psi)
+                assert np.array_equal(together.matrix, closed.matrix)
                 truth = oracle_reduced(psi, d, n, RegisterSubset.aligned(n, p))
                 assert closed.labels == truth.labels
                 assert trace_distance(closed, truth) < 1e-10
@@ -164,6 +167,8 @@ def test_aligned_reduced_dimension_checks():
     psi = random_states(3, 1, seed=0)[0]
     with pytest.raises(ValueError):
         aligned_reduced(4, RegisterSubset.aligned(2, 1), psi)
+    with pytest.raises(ValueError):  # every state of a batch is checked
+        aligned_reduced(4, RegisterSubset.aligned(2, 1), [random_states(4, 1, seed=0)[0], psi])
     with pytest.raises(CapacityError):
         aligned_reduced(5, RegisterSubset.aligned(6, 1), random_states(5, 1, seed=0)[0])
 
@@ -328,6 +333,9 @@ def test_missing_pair_reduced_validation():
     for bad_n in (True, 2.0):  # True once gave a 1x1 state, 2.0 a numpy error
         with pytest.raises(TypeError, match="pair count must be an int"):
             missing_pair_reduced(2, bad_n, 1)
+    for bad_missing in (True, 1.0):  # True once dropped pair 1, 1.0 failed on a list index
+        with pytest.raises(TypeError, match="missing pair must be an int"):
+            missing_pair_reduced(2, 2, bad_missing)
 
 
 def test_missing_pair_subset_reduced_matches_oracle():

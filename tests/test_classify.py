@@ -40,9 +40,9 @@ def sub(labels, n):
 
 
 def replay(d, labels, n, config):
-    # one row as run_sweep builds it: config's seeded inputs, each encoded
+    # one row as run_sweep builds it: config's seeded inputs, encoded together
     states = random_states(d, config.samples, config.seed)
-    return evaluate_subset(d, sub(labels, n), [(psi, encode(psi, d, n)) for psi in states], config)
+    return evaluate_subset(d, sub(labels, n), states, encode(states, d, n), config)
 
 
 def test_is_authorized_examples():
@@ -225,7 +225,7 @@ def test_evaluate_subset_row_contents():
 def test_evaluate_subset_capacity_row():
     config = SweepConfig(dims=(2,), ns=(2,), samples=2, seed=0)
     skipped = CapacityError("register size d^(2n+1)", 32, 16)
-    row = evaluate_subset(2, sub("S1,N2", 2), skipped, config)
+    row = evaluate_subset(2, sub("S1,N2", 2), random_states(2, 2, 0), skipped, config)
     assert row.agree
     assert row.note == "capacity: register size d^(2n+1) = 32 exceeds limit 16"
     assert row.oracle_max_distance is None
@@ -244,9 +244,9 @@ def test_evaluate_subset_rejects_a_sample_count_off_its_config():
     # one sample has no pair to witness input dependence with
     d, n = 3, 1
     config = SweepConfig(dims=(d,), ns=(n,), samples=4, seed=3)
-    psi = random_states(d, 1, seed=3)[0]
+    states = random_states(d, 1, seed=3)
     with pytest.raises(ValueError, match="expected 4 samples, got 1"):
-        evaluate_subset(d, sub("S1", n), [(psi, encode(psi, d, n))], config)
+        evaluate_subset(d, sub("S1", n), states, encode(states, d, n), config)
 
 
 def test_sweep_config_validation():
@@ -394,12 +394,15 @@ def test_closed_form_gate_stays_exact_above_tol(monkeypatch):
     # must fail the gate with its exact distance, not a bound
     tol = 1e-9
 
+    def bumped(state):
+        bump = np.zeros_like(state.matrix)
+        bump[0, 0], bump[1, 1] = 10 * tol, -10 * tol
+        return ReducedState(state.d, state.labels, state.matrix + bump)
+
     def perturbed(inner):
         def closed_form(*args):
-            state = inner(*args)
-            bump = np.zeros_like(state.matrix)
-            bump[0, 0], bump[1, 1] = 10 * tol, -10 * tol
-            return ReducedState(state.d, state.labels, state.matrix + bump)
+            out = inner(*args)  # the sweep asks for all aligned samples at once
+            return [bumped(state) for state in out] if isinstance(out, list) else bumped(out)
 
         return closed_form
 

@@ -183,6 +183,8 @@ def test_encode_matches_dense_encoder_application():
         scatter = np.argsort(gather)
         expected = out.transpose(scatter).reshape(-1)
         assert_allclose(encode(psi, d, n), expected, atol=1e-12)
+        # a batch writes each row as encoding its state alone does
+        assert np.array_equal(encode([psi, psi], d, n)[1], encode(psi, d, n))
 
 
 def test_capacity_guards():
@@ -325,6 +327,62 @@ def test_reduce_encoded_validation():
         reduce_encoded(vec, 2, 2, RegisterSubset.from_labels("S1", 2))
     with pytest.raises(ValueError):
         reduce_encoded(vec[:-1], 2, 1, RegisterSubset.from_labels("S1", 1))
+    with pytest.raises(ValueError):  # a batch is a matrix of registers, not a deeper array
+        reduce_encoded(vec.reshape(1, 1, -1), 2, 1, RegisterSubset.from_labels("S1", 1))
+
+
+def test_reduce_encoded_is_exact_on_any_vector():
+    # the support route reads only where the input is zero, so it must match
+    # the dense partial trace on vectors encode never makes, and a batch
+    # reduced over the union of its rows' supports must give each row the
+    # bits a call of its own gives
+    rng = np.random.default_rng(12)
+    for d, n in ((2, 2), (3, 2), (2, 3)):
+        amps = d ** (2 * n + 1)
+        dense = rng.normal(size=amps) + 1j * rng.normal(size=amps)
+        single = np.zeros(amps, dtype=complex)
+        single[rng.integers(amps)] = 0.6 - 0.8j
+        batch = np.array([
+            dense / np.linalg.norm(dense),
+            encode(PureState.basis(d, 1), d, n),
+            single,
+            encode(random_states(d, 1, seed=d + n)[0], d, n),
+        ])
+        supports = {tuple(np.flatnonzero(vec)) for vec in batch}
+        assert len(supports) == len(batch)
+        for members in itertools.product(("none", "signal", "noise", "both"), repeat=n):
+            if all(m == "none" for m in members):
+                continue
+            sub = RegisterSubset(members)
+            keep = [layout_axis(lab) for lab in sub.kept_labels()]
+            together = reduce_encoded(batch, d, n, sub)
+            assert len(together) == len(batch)
+            for vec, rho in zip(batch, together):
+                alone = reduce_encoded(vec, d, n, sub)
+                assert isinstance(alone, ReducedState)
+                assert np.array_equal(rho.matrix, alone.matrix), (d, n, members)
+                assert np.array_equal(rho.matrix, rho.matrix.conj().T), (d, n, members)
+                viamat = partial_trace(np.outer(vec, vec.conj()), (d,) * (2 * n + 1), keep)
+                assert_allclose(rho.matrix, viamat, rtol=0, atol=1e-14)
+
+
+def test_reduce_encoded_memory_stays_near_the_output_on_dense_input():
+    # a dense register at d = 2, n = 5 keeping 9 qudits: side 512 over 4
+    # traced columns, so about 1.05M products, which would take about 40 MB
+    # of index and product arrays at once against a 4 MB output
+    rng = np.random.default_rng(5)
+    vec = rng.normal(size=2**11) + 1j * rng.normal(size=2**11)
+    vec /= np.linalg.norm(vec)
+    sub = RegisterSubset(("both", "both", "both", "both", "signal"))
+    tracemalloc.start()
+    try:
+        rho = reduce_encoded(vec, 2, 5, sub)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho.dim == 512
+    assert peak < 3 * rho.matrix.nbytes
+    assert abs(np.trace(rho.matrix) - 1) < 1e-12
 
 
 def test_bell_split_identities():
