@@ -47,6 +47,10 @@ def satisfies_system(d: int, p: int, q: int, a: int, b: int) -> bool:
 
 
 def _require_shape(p: int, q: int) -> None:
+    """Reject signal/noise counts that are not ints, negative, or both zero."""
+    for name, count in (("p", p), ("q", q)):
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise TypeError(f"{name} must be an int, got {type(count).__name__}")
     if p < 0 or q < 0:
         raise ValueError(f"signal/noise counts must be nonnegative, got p={p}, q={q}")
     if p + q < 1:

@@ -8,7 +8,11 @@ layout is read.
 
 Encoding applies (1/d) * sum_{k,l} c_kl (X^k Z^l) on A and every signal
 qudit simultaneously, with c_kl the exact phases from
-:func:`cloneleak.pauli.enc_coefficient`.  Reduced states of register subsets
+:func:`cloneleak.pauli.enc_coefficient`.  :func:`encode` computes only the
+register's support: it groups the d^2 branches by the nonzero pattern of
+their pair factor, read from its own pair table, and forms each group's
+products over that pattern alone, about d^(n+3) products per state where
+a dense contraction costs d^(2n+3).  Reduced states of register subsets
 are produced here by an exact partial trace of the full register
 statevector, with no appeal to any closed form; the analytic module
 reproduces them the other way around, which is what makes the cross-check
@@ -262,14 +266,19 @@ def encode(psi: PureState | Sequence[PureState], d: int, n: int) -> np.ndarray:
     """Encoded register statevector in the fixed global layout.
 
     The (k, l) branch is c_kl * (X^k Z^l |psi>) (x) ((X^k Z^l (x) I)|Bell>)^{(x)n};
-    the branches are summed and divided by d.  All d^2 branches are built
-    together, one row each, with the 1/d folded into the coefficients, and
-    the last pair factor and the sum over branches are one matmul whose
-    result is the register.  This never materializes the encoder, so it
-    reaches register sizes the dense unitary cannot.  A sequence of states
-    gives a (len, d^(2n+1)) array with one register per row: the word and
-    pair tables are built once, and each row is written in place by its
-    matmul, so a row is bit-identical to encoding its state alone.  Raises
+    the branches are summed and divided by d.  Only the register's support
+    is computed: the branches are grouped by the nonzero pattern of their
+    row in the pair table (for Pauli words, d groups of d branches with d
+    entries each), each group's n-fold product runs over its pattern alone,
+    and one contraction over the group's branches gives its d^(n+1)
+    amplitudes, written at their flat indices into a zeroed register.  That
+    is about d^(n+3) products per state, against d^(2n+3) for a dense
+    contraction, and the encoder is never materialized.
+
+    A sequence of states gives a (len, d^(2n+1)) array, one register per
+    row, from one plan; each state's products are matrix products of a
+    fixed shape of its own, so a row is bit-identical to encoding its state
+    alone.  Raises TypeError for an element that is not a PureState, and
     CapacityError when the register or the d^2 x d^2 pair table, the larger
     object at n = 1, exceeds ``STATE_AMPLITUDE_LIMIT``.
     """
@@ -277,21 +286,37 @@ def encode(psi: PureState | Sequence[PureState], d: int, n: int) -> np.ndarray:
     require_pairs(n)
     states = [psi] if isinstance(psi, PureState) else list(psi)
     for state in states:
+        if not isinstance(state, PureState):
+            raise TypeError(f"expected PureState, got {type(state).__name__}")
         if state.d != d:
             raise ValueError(f"state dimension {state.d} does not match register dimension {d}")
     require_capacity("register size d^(2n+1)", d ** (2 * n + 1), STATE_AMPLITUDE_LIMIT)
     require_capacity("encoder pair table d^4", d**4, STATE_AMPLITUDE_LIMIT)
-    kl = [(k, l) for k in range(d) for l in range(d)]
-    words = np.array([PauliWord(d, a=k, b=l).matrix() for k, l in kl])
-    coeffs = np.array([enc_coefficient_value(d, k, l) for k, l in kl]) / d
-    # (X^k Z^l (x) I)|Bell> lists the entries of X^k Z^l row by row, over sqrt(d)
-    pairs = words.reshape(d * d, -1) / np.sqrt(d)
-    out = np.empty((len(states), d ** (2 * n + 1)), dtype=complex)
-    for state, register in zip(states, out):
-        branches = coeffs[:, None] * (words @ state.amplitudes)
-        for _ in range(n - 1):
-            branches = (branches[:, :, None] * pairs[:, None, :]).reshape(d * d, -1)
-        np.matmul(branches.T, pairs, out=register.reshape(-1, d * d))
+    shifts = np.array([PauliWord(d, a=k).matrix() for k in range(d)])
+    clocks = np.array([PauliWord(d, b=l).matrix() for l in range(d)])
+    words = (shifts[:, None] @ clocks).reshape(d * d, d, d)  # X^k Z^l on row k*d + l
+    coeffs = np.array([enc_coefficient_value(d, k, l) for k in range(d) for l in range(d)]) / d
+    # (X^k Z^l (x) I)|Bell> lists the entries of X^k Z^l row by row, over
+    # sqrt(d): row k*d + l of this table, scaled where it is gathered
+    pairs = words.reshape(d * d, -1)
+    groups: dict[bytes, list[int]] = {}
+    for branch, pattern in enumerate(pairs != 0):
+        groups.setdefault(pattern.tobytes(), []).append(branch)
+    members = np.array(list(groups.values()))  # (group, branch)
+    # a Pauli word is monomial, so every pattern holds d entries
+    cells = np.nonzero(pairs[members[:, 0]])[1].reshape(len(members), -1)  # (group, entry)
+    factor = pairs[members[:, :, None], cells[:, None, :]] / np.sqrt(d)
+    # n-fold products over each pattern, and their flat offsets past axis A
+    tail, offsets = factor, cells
+    for _ in range(n - 1):
+        tail = (tail[..., None] * factor[:, :, None, :]).reshape(*members.shape, -1)
+        offsets = (offsets[:, :, None] * d * d + cells[:, None, :]).reshape(len(cells), -1)
+    amps = np.array([state.amplitudes for state in states], dtype=complex).reshape(-1, d, 1)
+    heads = coeffs[:, None] * (words.reshape(-1, d) @ amps).reshape(-1, d * d, d)
+    values = heads[:, members].swapaxes(2, 3) @ tail  # (state, group, A, pattern product)
+    index = np.arange(d)[:, None] * d ** (2 * n) + offsets[:, None, :]
+    out = np.zeros((len(states), d ** (2 * n + 1)), dtype=complex)
+    out[:, index.reshape(-1)] = values.reshape(len(states), index.size)
     return out[0] if isinstance(psi, PureState) else out
 
 

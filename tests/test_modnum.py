@@ -89,6 +89,16 @@ def test_shape_validation():
         enumerate_system(1, 1, 1)
 
 
+def test_shape_counts_must_be_ints():
+    # bool is an int subclass, so True would otherwise pass as p = 1, and a
+    # float p would fail later inside range with an unrelated message
+    cases = [(True, 0, "bool"), (0, False, "bool"), (2.0, 1, "float"), (1, 1.0, "float")]
+    for p, q, kind in cases:
+        for solve in (system_gcd, solve_aligned_system, enumerate_system):
+            with pytest.raises(TypeError, match=kind):
+                solve(4, p, q)
+
+
 @given(dims, counts, counts)
 def test_closed_form_matches_enumeration(d, p, q):
     if p + q < 1:

@@ -187,6 +187,41 @@ def test_encode_matches_dense_encoder_application():
         assert np.array_equal(encode([psi, psi], d, n)[1], encode(psi, d, n))
 
 
+def test_encode_matches_the_encoder_on_wider_shapes():
+    # the unitary acts on the d^(n+1) gathered [A, S1..Sn] index of the
+    # (d^(n+1), d^n) reshaped input, so no kron with the identity is needed;
+    # a basis state leaves exact zeros in the source factor of every branch
+    for d, n in ((4, 2), (5, 2), (6, 1), (4, 3), (5, 3), (7, 2)):
+        u = build_encoder(d, n)
+        gather = [0] + [2 * i - 1 for i in range(1, n + 1)] + [2 * i for i in range(1, n + 1)]
+        states = [random_states(d, 1, seed=31 * d + n)[0], PureState.basis(d, d - 2)]
+        for psi in states:
+            inp = psi.amplitudes
+            for _ in range(n):
+                inp = np.kron(inp, bell_state(d))
+            t = inp.reshape((d,) * (2 * n + 1)).transpose(gather).reshape(d ** (n + 1), d**n)
+            out = (u @ t).reshape((d,) * (2 * n + 1))
+            expected = out.transpose(np.argsort(gather)).reshape(-1)
+            assert_allclose(encode(psi, d, n), expected, rtol=0, atol=1e-12)
+        batch = [*states, random_states(d, 1, seed=d + 7 * n)[0]]
+        rows = encode(batch, d, n)
+        assert rows.shape == (3, d ** (2 * n + 1))
+        for state, row in zip(batch, rows):
+            assert np.array_equal(row, encode(state, d, n))
+
+
+def test_encode_batch_edges():
+    for d, n in ((2, 1), (3, 2)):
+        empty = encode([], d, n)
+        assert empty.shape == (0, d ** (2 * n + 1)) and empty.dtype == complex
+    with pytest.raises(TypeError, match="ndarray"):
+        encode([PureState.basis(2, 0), np.array([1.0, 0.0])], 2, 1)
+    with pytest.raises(TypeError, match="int"):
+        encode([3], 2, 1)
+    with pytest.raises(ValueError, match="dimension 3"):
+        encode([PureState.basis(2, 0), PureState.basis(3, 0)], 2, 1)
+
+
 def test_capacity_guards():
     psi = PureState.basis(10, 0)
     with pytest.raises(CapacityError):
@@ -215,6 +250,23 @@ def test_encode_builds_no_d6_pair_table():
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
+
+
+def test_encode_memory_stays_near_the_register():
+    # the register holds d^(n+2) nonzeros among its d^(2n+1) amplitudes, so
+    # beside it encode needs only O(d^(n+2)) values and indices: at (2, 8)
+    # the register is 2 MB, and a dense d^2 x d^(2n-1) branch table would
+    # add another
+    d, n = 2, 8
+    psi = random_states(d, 1, seed=8)[0]
+    register_bytes = d ** (2 * n + 1) * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        encode(psi, d, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * register_bytes
 
 
 def test_encode_beyond_encoder_capacity():
