@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .modnum import CongruenceSolutionSet, delta, require_dim, solve_aligned_system
-from .pauli import PauliWord, PureState, expectation, phase_value
+from .pauli import PauliWord, PureState, expectation, phase_value, require_state
 from .protocol import (
     BOTH,
     NONE,
@@ -106,8 +106,7 @@ def aligned_reduced(
     sols = solve_aligned_system(d, p, q)
     states = [psi] if isinstance(psi, PureState) else list(psi)
     for state in states:
-        if state.d != d:
-            raise ValueError(f"state dimension {state.d} does not match d={d}")
+        require_state(state, d)
     side = d**subset.n
     require_capacity("reduced side d^n", side, REDUCED_SIDE_LIMIT)
     acc = np.empty((len(states), side, side), dtype=complex)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analytic import LeakTerm, aligned_reduced, leaked_words, missing_pair_subset_reduced
 from .modnum import require_dim, solve_aligned_system
-from .pauli import PureState, random_states
+from .pauli import PureState, random_states, require_state
 from .protocol import (
     BOTH,
     CapacityError,
@@ -87,8 +87,7 @@ def analytic_reduced(d: int, subset: RegisterSubset, psi: PureState) -> ReducedS
     Missing-pair subsets ignore ``psi``: their state is input-free.
     """
     require_dim(d)
-    if psi.d != d:
-        raise ValueError(f"state dimension {psi.d} does not match d={d}")
+    require_state(psi, d)
     if is_authorized(subset):
         return None
     if not subset.touches_all_pairs:

@@ -124,10 +124,22 @@ class PureState:
         return cls(d, amps / np.linalg.norm(amps))
 
 
+def require_state(state: object, d: int) -> None:
+    """Reject anything but a PureState of dimension d."""
+    if not isinstance(state, PureState):
+        raise TypeError(f"expected PureState, got {type(state).__name__}")
+    if state.d != d:
+        raise ValueError(f"state dimension {state.d} does not match d={d}")
+
+
 def random_states(d: int, count: int, seed: int) -> list[PureState]:
     """Deterministic batch of Haar-random states from one seeded generator."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    require_dim(d)
+    for name, value in (("count", count), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     rng = np.random.default_rng(seed)
     return [PureState.random(d, rng) for _ in range(count)]
 

@@ -17,11 +17,11 @@ are produced here by an exact partial trace of the full register
 statevector, with no appeal to any closed form; the analytic module
 reproduces them the other way around, which is what makes the cross-check
 meaningful.  The trace runs over the statevector's nonzero support: it
-multiplies only amplitudes that share a traced index, so on an encoded
-register, whose d^(2n+1) amplitudes hold only d^(n+2) nonzeros, it skips
-the zeros a dense contraction would multiply.  It learns the support from
-the amplitudes alone, never from the encoder's structure, so it is exact
-for any vector.
+multiplies only amplitudes that share a traced index, pairing them by
+their offset within that index's column, so on an encoded register, whose
+d^(2n+1) amplitudes hold only d^(n+2) nonzeros, it skips the zeros a dense
+contraction would multiply.  It learns the support from the amplitudes
+alone, never from the encoder's structure, so it is exact for any vector.
 
 Reduced states keep their qudits in a canonical order: selected signal
 qudits ascending by pair index, then selected noise qudits ascending.
@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .modnum import require_dim
-from .pauli import PauliWord, PureState, enc_coefficient_value
+from .pauli import PauliWord, PureState, enc_coefficient_value, require_state
 
 # Dense-object size guards.  The encoder is a d^(n+1) square matrix; the
 # encoded register is a d^(2n+1) statevector; a reduced state is a square
@@ -131,6 +131,8 @@ class RegisterSubset:
     def aligned(cls, n: int, p: int) -> "RegisterSubset":
         """Canonical aligned subset: signals on pairs 1..p, noises after."""
         require_pairs(n)
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise TypeError(f"signal count must be an int, got {type(p).__name__}")
         if not 0 <= p <= n:
             raise ValueError(f"signal count {p} outside 0..{n}")
         return cls(tuple([SIGNAL] * p + [NOISE] * (n - p)))
@@ -286,10 +288,7 @@ def encode(psi: PureState | Sequence[PureState], d: int, n: int) -> np.ndarray:
     require_pairs(n)
     states = [psi] if isinstance(psi, PureState) else list(psi)
     for state in states:
-        if not isinstance(state, PureState):
-            raise TypeError(f"expected PureState, got {type(state).__name__}")
-        if state.d != d:
-            raise ValueError(f"state dimension {state.d} does not match register dimension {d}")
+        require_state(state, d)
     require_capacity("register size d^(2n+1)", d ** (2 * n + 1), STATE_AMPLITUDE_LIMIT)
     require_capacity("encoder pair table d^4", d**4, STATE_AMPLITUDE_LIMIT)
     shifts = np.array([PauliWord(d, a=k).matrix() for k in range(d)])
@@ -320,12 +319,6 @@ def encode(psi: PureState | Sequence[PureState], d: int, n: int) -> np.ndarray:
     return out[0] if isinstance(psi, PureState) else out
 
 
-# Products that reduce_encoded holds at once, counted over the whole batch,
-# so that its scratch memory is a few MB however dense the input: unchunked,
-# a dense register keeping a side of 512 peaks above 80 MB for a 4 MB output.
-_PAIR_CHUNK = 1 << 15
-
-
 def reduce_encoded(
     vec: np.ndarray, d: int, n: int, subset: RegisterSubset
 ) -> ReducedState | list[ReducedState]:
@@ -344,15 +337,18 @@ def reduce_encoded(
     The support is read from the amplitudes' exact zeros alone, so the
     route is exact for any vector, dense ones included.
 
-    A batch is reduced over the union of its rows' supports, so that plan is
-    built once.  Each product is formed in real arithmetic and added in
-    place, entry by entry in column order, so a batched call and one call
-    per register give bit-identical matrices, and the products of entries a
-    and b and of b and a are exact conjugates added in the same order, so
-    the result is exactly Hermitian.  Products are expanded ``_PAIR_CHUNK``
-    at a time: beside its output the call holds O(nonzeros) plan arrays and
-    a fixed scratch of a few MB, however dense the input.  Raises
-    CapacityError when the kept side d^size exceeds ``REDUCED_SIDE_LIMIT``.
+    The entries are sorted by column, then by row, and paired by their
+    offset within a column: one pass adds |m_e|^2 on the diagonal, then
+    pass k adds m_e conj(m_f) at (row_e, row_f) and its exact conjugate at
+    (row_f, row_e) for every e, f = e + k in one column, until an offset
+    finds no pair.  Rows ascend within a column, so every product lands
+    above the diagonal and the result is exactly Hermitian.  A batch is
+    scanned for zeros once, over the union of its rows' supports, but each
+    register then keeps only its own nonzeros, so its adds run in the order
+    a call of its own makes and the matrices are bit-identical.  Beside its
+    output the call holds O(samples x nonzeros) plan and scratch arrays,
+    however dense the input.  Raises CapacityError when the kept side
+    d^size exceeds ``REDUCED_SIDE_LIMIT``.
     """
     require_dim(d)
     require_pairs(n)
@@ -366,36 +362,29 @@ def reduce_encoded(
     side = d ** len(keep_axes)
     require_capacity("kept side d^size", side, REDUCED_SIDE_LIMIT)
     batch = vecs.reshape(-1, d**size)
-    support = np.zeros(d**size, dtype=bool)
-    for register in batch:
-        support |= register != 0
-    flat = np.flatnonzero(support)
+    flat = np.flatnonzero(batch.any(axis=0))
     digits = np.unravel_index(flat, (d,) * size)
     traced = [ax for ax in range(size) if ax not in keep_axes]
     rows = np.ravel_multi_index([digits[ax] for ax in keep_axes], (d,) * len(keep_axes))
     cols = np.ravel_multi_index([digits[ax] for ax in traced], (d,) * len(traced))
     order = np.argsort(cols * side + rows)  # by column, then by row
-    rows, cols = rows[order], cols[order]
-    values = batch[:, flat][:, order]
-    re, im = np.ascontiguousarray(values.real), np.ascontiguousarray(values.imag)
-    # entry e pairs with every entry of its column, itself included
-    first = np.searchsorted(cols, cols, side="left")
-    counts = np.searchsorted(cols, cols, side="right") - first
-    ends = np.cumsum(counts)
-    per_chunk = max(1, _PAIR_CHUNK // max(1, len(batch)))
+    values = batch[:, flat[order]]
+    # each register keeps only its own nonzeros, under column numbers of its
+    # own: an offset counted over the union would reorder its adds
+    reg, at = np.nonzero(values)
+    rows, cols, values = rows[order][at], cols[order][at] + reg * d ** len(traced), values[reg, at]
     out = np.zeros((len(batch), side, side), dtype=complex)
-    base = (side * side * np.arange(len(batch)))[:, None]
-    lo = 0
-    while lo < len(counts):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + per_chunk, "right")))
-        c = counts[lo:hi]
-        a = np.repeat(np.arange(lo, hi), c)
-        b = np.repeat(first[lo:hi] - np.cumsum(c) + c, c) + np.arange(len(a))
-        ra, ia, rb, ib = re[:, a], im[:, a], re[:, b], im[:, b]
-        prod = np.empty(ra.shape, dtype=complex)
-        prod.real, prod.imag = ra * rb + ia * ib, ia * rb - ra * ib  # m_a conj(m_b)
-        np.add.at(out.reshape(-1), (rows[a] * side + rows[b] + base).reshape(-1), prod.reshape(-1))
-        lo = hi
+    flat_out = out.reshape(-1)
+    lead = reg * side * side + rows * side  # where each entry's output row starts
+    np.add.at(flat_out.real, lead + rows, values.real**2 + values.imag**2)
+    for k in range(1, len(cols)):
+        e = np.flatnonzero(cols[:-k] == cols[k:])
+        if not len(e):
+            break  # columns are contiguous, so no larger offset pairs either
+        f = e + k
+        prod = values[e] * values[f].conj()
+        np.add.at(flat_out, lead[e] + rows[f], prod)
+        np.add.at(flat_out, lead[f] + rows[e], prod.conj())
     labels = subset.kept_labels()
     reduced = [ReducedState(d=d, labels=labels, matrix=m) for m in out]
     return reduced[0] if vecs.ndim == 1 else reduced

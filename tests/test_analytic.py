@@ -173,6 +173,18 @@ def test_aligned_reduced_dimension_checks():
         aligned_reduced(5, RegisterSubset.aligned(6, 1), random_states(5, 1, seed=0)[0])
 
 
+def test_closed_forms_reject_inputs_that_are_not_states():
+    sub = RegisterSubset.aligned(2, 1)
+    amps = np.array([1, 0])
+    with pytest.raises(TypeError, match="expected PureState, got ndarray"):
+        aligned_reduced(2, sub, [amps])
+    with pytest.raises(TypeError, match="expected PureState, got int"):
+        aligned_reduced(2, sub, amps)  # iterated as a batch of its entries
+    for labels in ("S1,N2", "S1,N1", "S1,N1,S2"):  # aligned, missing-pair, authorized
+        with pytest.raises(TypeError, match="expected PureState, got ndarray"):
+            analytic_reduced(2, RegisterSubset.from_labels(labels, 2), amps)
+
+
 def test_parity_rule_for_qubits():
     # at d=2 a leak survives exactly when both n and p are odd, and then the
     # whole deviation from white noise is one (XZ)-word with sign (-1)^(n-p+1)

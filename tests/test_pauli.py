@@ -186,6 +186,21 @@ def test_random_states_are_deterministic_and_normalized():
         assert abs(np.vdot(state.amplitudes, state.amplitudes) - 1) < 1e-12
 
 
+def test_random_states_input_checks():
+    assert random_states(2, 0, seed=0) == []
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        random_states(1, 0, seed=0)  # an empty batch still names a dimension
+    with pytest.raises(ValueError, match="count must be non-negative, got -3"):
+        random_states(2, -3, seed=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        random_states(2, 1, seed=-1)
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="count must be an int"):
+            random_states(2, bad, seed=0)
+        with pytest.raises(TypeError, match="seed must be an int"):
+            random_states(2, 1, seed=bad)
+
+
 def test_expectation_examples():
     assert_allclose(expectation(PureState.basis(3, 0), PauliWord(3, b=1)), 1.0, atol=1e-15)
     assert_allclose(expectation(PureState.uniform(3), PauliWord(3, a=1)), 1.0, atol=1e-14)

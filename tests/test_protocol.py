@@ -123,6 +123,9 @@ def test_aligned_constructor():
     assert sub.kept_labels() == ("S1", "S2", "N3")
     with pytest.raises(ValueError):
         RegisterSubset.aligned(3, 4)
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match="signal count must be an int"):
+            RegisterSubset.aligned(3, bad)
 
 
 def test_subset_validation():
@@ -387,15 +390,20 @@ def test_reduce_encoded_is_exact_on_any_vector():
     # the support route reads only where the input is zero, so it must match
     # the dense partial trace on vectors encode never makes, and a batch
     # reduced over the union of its rows' supports must give each row the
-    # bits a call of its own gives
+    # bits a call of its own gives; the half-zeroed row leaves its traced
+    # columns holding different counts, so its entries sit at offsets within
+    # a column that the dense row's union support does not give them
     rng = np.random.default_rng(12)
     for d, n in ((2, 2), (3, 2), (2, 3)):
         amps = d ** (2 * n + 1)
         dense = rng.normal(size=amps) + 1j * rng.normal(size=amps)
+        uneven = rng.normal(size=amps) + 1j * rng.normal(size=amps)
+        uneven[rng.random(amps) < 0.5] = 0
         single = np.zeros(amps, dtype=complex)
         single[rng.integers(amps)] = 0.6 - 0.8j
         batch = np.array([
             dense / np.linalg.norm(dense),
+            uneven / np.linalg.norm(uneven),
             encode(PureState.basis(d, 1), d, n),
             single,
             encode(random_states(d, 1, seed=d + n)[0], d, n),
@@ -416,6 +424,26 @@ def test_reduce_encoded_is_exact_on_any_vector():
                 assert np.array_equal(rho.matrix, rho.matrix.conj().T), (d, n, members)
                 viamat = partial_trace(np.outer(vec, vec.conj()), (d,) * (2 * n + 1), keep)
                 assert_allclose(rho.matrix, viamat, rtol=0, atol=1e-14)
+
+
+def test_reduce_encoded_keeps_batch_rows_apart():
+    # registers of three nonzeros each: the batch's union support holds
+    # fewer entries than there are traced columns, and no entry of one
+    # register may pair with an entry of another
+    rng = np.random.default_rng(4)
+    for d, n in ((2, 2), (3, 2)):
+        amps = d ** (2 * n + 1)
+        batch = np.zeros((6, amps), dtype=complex)
+        for vec in batch:
+            vec[rng.choice(amps, size=3, replace=False)] = [0.6, 0.48j, -0.64]
+        for members in itertools.product(("none", "signal", "noise", "both"), repeat=n):
+            if all(m == "none" for m in members):
+                continue
+            sub = RegisterSubset(members)
+            keep = [layout_axis(lab) for lab in sub.kept_labels()]
+            for vec, rho in zip(batch, reduce_encoded(batch, d, n, sub)):
+                viamat = partial_trace(np.outer(vec, vec.conj()), (d,) * (2 * n + 1), keep)
+                assert_allclose(rho.matrix, viamat, rtol=0, atol=1e-15)
 
 
 def test_reduce_encoded_memory_stays_near_the_output_on_dense_input():
