@@ -2,11 +2,11 @@
 
 Classification is pure arithmetic: the authorization rule, the missing-pair
 rule, and the gcd criterion cover every subset exactly once.  ``run_sweep``
-is the entry point for replay: it checks its ``SweepConfig``, encodes each
-register shape once, and replays each verdict against brute-force reduced
-states of seeded random inputs, flagging any disagreement, so a green sweep
-means the closed forms and the integer criterion both reproduce the
-statevector truth.
+is the entry point for replay: it checks its ``SweepConfig``, encodes the
+support of each register shape once, and replays each verdict against
+brute-force reduced states of seeded random inputs, flagging any
+disagreement, so a green sweep means the closed forms and the integer
+criterion both reproduce the statevector truth.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .protocol import (
     RegisterSubset,
     MEMBERSHIPS,
     NONE,
-    encode,
-    reduce_encoded,
+    encode_support,
+    reduce_support,
     require_pairs,
 )
 
@@ -339,16 +339,17 @@ def evaluate_subset(
     d: int,
     subset: RegisterSubset,
     states: Sequence[PureState],
-    registers: np.ndarray | CapacityError,
+    support: tuple[np.ndarray, np.ndarray] | CapacityError,
     config: SweepConfig,
 ) -> SweepRow:
     """Classify one subset and replay the verdict against the oracle.
 
-    ``registers`` holds the encoded register of each of ``states``, one per
-    row, or is the CapacityError that stopped the shape from being encoded;
-    such a row, and one whose oracle reduced states are too large, is
-    skipped and its note gives the reason.  All registers are reduced in one
-    ``reduce_encoded`` call, and all aligned closed forms in one
+    ``support`` is ``encode_support(states, d, n)``: the flat indices of the
+    registers' support and one row of amplitudes there per state.  Or it is
+    the CapacityError that stopped the shape from being encoded; such a row,
+    and one whose oracle reduced states are too large, is skipped and its
+    note gives the reason.  All registers are reduced in one
+    ``reduce_support`` call, and all aligned closed forms in one
     ``aligned_reduced`` call.  ``tol`` and ``witness`` come from ``config``.
     A distance at or below ``tol`` may be reported as a certified upper
     bound (see ``_max_distance``); its ``*_bound`` field says so.
@@ -369,14 +370,14 @@ def evaluate_subset(
     )
     if len(states) != config.samples:
         raise ValueError(f"expected {config.samples} samples, got {len(states)}")
-    if not isinstance(registers, CapacityError) and len(registers) != len(states):
-        raise ValueError(f"{len(states)} states but {len(registers)} registers")
+    if not isinstance(support, CapacityError) and len(support[1]) != len(states):
+        raise ValueError(f"{len(states)} states but {len(support[1])} registers")
     try:
-        if isinstance(registers, CapacityError):
+        if isinstance(support, CapacityError):
             # every subset of the shape raises this one error; a fresh
             # traceback keeps it from holding each row's frame
-            raise registers.with_traceback(None)
-        reduced = reduce_encoded(registers, d, subset.n, subset)
+            raise support.with_traceback(None)
+        reduced = reduce_support(*support, d, subset.n, subset)
     except CapacityError as exc:
         return SweepRow(
             **common,
@@ -395,7 +396,7 @@ def evaluate_subset(
     analytic_bound: bool | None = None
     if not cls.authorized:
         # no CapacityError here: each closed form guards the same side d^size
-        # against the REDUCED_SIDE_LIMIT that reduce_encoded has just passed
+        # against the REDUCED_SIDE_LIMIT that reduce_support has just passed
         if cls.p is not None:
             closed = aligned_reduced(d, subset, states)
         else:  # input-free: one closed form serves every sample
@@ -434,10 +435,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         for n in config.ns:
             states = random_states(d, config.samples, config.seed)
             try:
-                registers = encode(states, d, n)
+                support = encode_support(states, d, n)
             except CapacityError as exc:
-                registers = exc
+                support = exc
             for subset in _subsets_for(config, n):
-                rows.append(evaluate_subset(d, subset, states, registers, config))
-            del registers  # free this shape's registers before the next is encoded
+                rows.append(evaluate_subset(d, subset, states, support, config))
     return SweepReport(config=config, rows=tuple(rows))

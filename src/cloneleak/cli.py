@@ -49,6 +49,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "verdict": cls.verdict,
             "authorized": cls.authorized,
             "maximally_mixed": cls.maximally_mixed,
+            "p": cls.p,
+            "q": cls.q,
             "g": cls.g,
             "leak_terms": [t.to_dict() for t in cls.leak],
         }

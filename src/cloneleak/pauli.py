@@ -109,6 +109,9 @@ class PureState:
 
     @classmethod
     def basis(cls, d: int, k: int) -> "PureState":
+        """The computational basis state |k mod d>."""
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError(f"basis index must be an int, got {type(k).__name__}")
         amps = np.zeros(d, dtype=complex)
         amps[k % d] = 1.0
         return cls(d, amps)

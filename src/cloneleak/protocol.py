@@ -8,20 +8,24 @@ layout is read.
 
 Encoding applies (1/d) * sum_{k,l} c_kl (X^k Z^l) on A and every signal
 qudit simultaneously, with c_kl the exact phases from
-:func:`cloneleak.pauli.enc_coefficient`.  :func:`encode` computes only the
-register's support: it groups the d^2 branches by the nonzero pattern of
+:func:`cloneleak.pauli.enc_coefficient`.  The oracle has two halves that
+meet at the register's support.  :func:`encode_support` computes only the
+d^(n+2) of the register's d^(2n+1) amplitudes that can be nonzero, with
+their flat indices: it groups the d^2 branches by the nonzero pattern of
 their pair factor, read from its own pair table, and forms each group's
 products over that pattern alone, about d^(n+3) products per state where
-a dense contraction costs d^(2n+3).  Reduced states of register subsets
-are produced here by an exact partial trace of the full register
-statevector, with no appeal to any closed form; the analytic module
-reproduces them the other way around, which is what makes the cross-check
-meaningful.  The trace runs over the statevector's nonzero support: it
-multiplies only amplitudes that share a traced index, pairing them by
-their offset within that index's column, so on an encoded register, whose
-d^(2n+1) amplitudes hold only d^(n+2) nonzeros, it skips the zeros a dense
-contraction would multiply.  It learns the support from the amplitudes
-alone, never from the encoder's structure, so it is exact for any vector.
+a dense contraction costs d^(2n+3).  :func:`reduce_support` traces a
+register given as such a list of entries down to a subset, exactly and with
+no appeal to any closed form; the analytic module reproduces the reduced
+states the other way around, which is what makes the cross-check
+meaningful.  It multiplies only amplitudes that share a traced index,
+pairing them by their offset within that index's column, and it drops the
+exact zeros itself, so it learns nothing from the encoder but where the
+entries sit.  :func:`oracle_reduced` and the sweep hand the encoder's
+support straight to the reduction, so no d^(2n+1) register is allocated on
+the oracle path.  :func:`encode` scatters the support into a dense register,
+and :func:`reduce_encoded` scans a dense register for its nonzeros and
+reduces them by the same kernel, so it is exact for any vector.
 
 Reduced states keep their qudits in a canonical order: selected signal
 qudits ascending by pair index, then selected noise qudits ascending.
@@ -264,8 +268,10 @@ def build_encoder(d: int, n: int) -> np.ndarray:
     return out / d
 
 
-def encode(psi: PureState | Sequence[PureState], d: int, n: int) -> np.ndarray:
-    """Encoded register statevector in the fixed global layout.
+def encode_support(
+    psi: PureState | Sequence[PureState], d: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The encoded register's support: its flat indices and their amplitudes.
 
     The (k, l) branch is c_kl * (X^k Z^l |psi>) (x) ((X^k Z^l (x) I)|Bell>)^{(x)n};
     the branches are summed and divided by d.  Only the register's support
@@ -273,16 +279,19 @@ def encode(psi: PureState | Sequence[PureState], d: int, n: int) -> np.ndarray:
     row in the pair table (for Pauli words, d groups of d branches with d
     entries each), each group's n-fold product runs over its pattern alone,
     and one contraction over the group's branches gives its d^(n+1)
-    amplitudes, written at their flat indices into a zeroed register.  That
-    is about d^(n+3) products per state, against d^(2n+3) for a dense
-    contraction, and the encoder is never materialized.
+    amplitudes.  That is about d^(n+3) products per state, against
+    d^(2n+3) for a dense contraction, and neither the encoder nor the
+    d^(2n+1) register is materialized.
 
-    A sequence of states gives a (len, d^(2n+1)) array, one register per
-    row, from one plan; each state's products are matrix products of a
-    fixed shape of its own, so a row is bit-identical to encoding its state
-    alone.  Raises TypeError for an element that is not a PureState, and
-    CapacityError when the register or the d^2 x d^2 pair table, the larger
-    object at n = 1, exceeds ``STATE_AMPLITUDE_LIMIT``.
+    Returns ``(index, values)``: the d^(n+2) distinct flat indices of the
+    support in the layout of :func:`encode`, in no particular order, and
+    the amplitudes at them, one row of d^(n+2) per state for a sequence
+    (1-D for a single state).  An amplitude may be an exact zero.  Each
+    state's products are matrix products of a fixed shape of its own, so a
+    row is bit-identical to encoding its state alone.  Raises TypeError for
+    an element that is not a PureState, and CapacityError when the register
+    d^(2n+1), whose layout the indices address, or the d^2 x d^2 pair
+    table, the larger object at n = 1, exceeds ``STATE_AMPLITUDE_LIMIT``.
     """
     require_dim(d)
     require_pairs(n)
@@ -313,10 +322,34 @@ def encode(psi: PureState | Sequence[PureState], d: int, n: int) -> np.ndarray:
     amps = np.array([state.amplitudes for state in states], dtype=complex).reshape(-1, d, 1)
     heads = coeffs[:, None] * (words.reshape(-1, d) @ amps).reshape(-1, d * d, d)
     values = heads[:, members].swapaxes(2, 3) @ tail  # (state, group, A, pattern product)
-    index = np.arange(d)[:, None] * d ** (2 * n) + offsets[:, None, :]
-    out = np.zeros((len(states), d ** (2 * n + 1)), dtype=complex)
-    out[:, index.reshape(-1)] = values.reshape(len(states), index.size)
-    return out[0] if isinstance(psi, PureState) else out
+    index = (np.arange(d)[:, None] * d ** (2 * n) + offsets[:, None, :]).reshape(-1)
+    values = values.reshape(len(states), index.size)
+    return index, values[0] if isinstance(psi, PureState) else values
+
+
+def encode(psi: PureState | Sequence[PureState], d: int, n: int) -> np.ndarray:
+    """Encoded register statevector in the fixed global layout.
+
+    The support of :func:`encode_support`, written at its flat indices into
+    a zeroed register of d^(2n+1) amplitudes.  A sequence of states gives a
+    (len, d^(2n+1)) array, one register per row, each bit-identical to
+    encoding its state alone.  Raises what ``encode_support`` raises.
+    """
+    index, values = encode_support(psi, d, n)
+    out = np.zeros(values.shape[:-1] + (d ** (2 * n + 1),), dtype=complex)
+    out[..., index] = values
+    return out
+
+
+def _kept_side(d: int, n: int, subset: RegisterSubset) -> int:
+    """Check a reduction of an n-pair register onto ``subset``; its kept side."""
+    require_dim(d)
+    require_pairs(n)
+    if subset.n != n:
+        raise ValueError(f"subset spans {subset.n} pairs, register has {n}")
+    side = d**subset.size
+    require_capacity("kept side d^size", side, REDUCED_SIDE_LIMIT)
+    return side
 
 
 def reduce_encoded(
@@ -326,49 +359,75 @@ def reduce_encoded(
 
     ``vec`` is one register of d^(2n+1) amplitudes, which gives one
     ReducedState, or a (samples, d^(2n+1)) array of registers, which gives a
-    list with one state per row.  The source qudit and every unselected
-    qudit are traced out exactly, without forming a density matrix.  Each
-    nonzero amplitude's flat index splits into a kept row i and a traced
-    column t, and rho = sum_t m_t m_t^H is accumulated from the products of
-    the entries that share a column: sum_t c_t^2 products, with c_t the
-    number of nonzeros in column t.  A dense Gram costs side^2 times the
-    number of columns instead: for an aligned subset of an encoded
-    register, where every column holds d nonzeros, (side/d)^2 times more.
-    The support is read from the amplitudes' exact zeros alone, so the
-    route is exact for any vector, dense ones included.
+    list with one state per row.  The batch is scanned for exact zeros once,
+    and the union of its rows' supports goes to :func:`reduce_support`,
+    which drops each register's own zeros.  The support is read from the
+    amplitudes alone, so the route is exact for any vector, dense ones
+    included.  Raises CapacityError when the kept side d^size exceeds
+    ``REDUCED_SIDE_LIMIT``.
+    """
+    _kept_side(d, n, subset)
+    vecs = np.asarray(vec, dtype=complex)
+    amps = d ** (2 * n + 1)
+    if vecs.ndim not in (1, 2) or vecs.shape[-1] != amps:
+        raise ValueError(f"expected registers of {amps} amplitudes, got shape {vecs.shape}")
+    flat = np.flatnonzero(vecs.reshape(-1, amps).any(axis=0))
+    return reduce_support(flat, vecs[..., flat], d, n, subset)
+
+
+def reduce_support(
+    index: np.ndarray, values: np.ndarray, d: int, n: int, subset: RegisterSubset
+) -> ReducedState | list[ReducedState]:
+    """Contract registers given by their support down to the selected qudits.
+
+    ``index`` lists distinct flat indices into a register of d^(2n+1)
+    amplitudes, and ``values`` holds the amplitudes there: one row, which
+    gives one ReducedState, or a (samples, len(index)) array, which gives a
+    list with one state per row.  Every amplitude off ``index`` is zero.
+    The source qudit and every unselected qudit are traced out exactly,
+    without forming a density matrix.  Each entry's flat index splits into
+    a kept row i and a traced column t, and rho = sum_t m_t m_t^H is
+    accumulated from the products of the entries that share a column:
+    sum_t c_t^2 products, with c_t the number of nonzeros in column t.  A
+    dense Gram costs side^2 times the number of columns instead: for an
+    aligned subset of an encoded register, where every column holds d
+    nonzeros, (side/d)^2 times more.
 
     The entries are sorted by column, then by row, and paired by their
     offset within a column: one pass adds |m_e|^2 on the diagonal, then
     pass k adds m_e conj(m_f) at (row_e, row_f) and its exact conjugate at
     (row_f, row_e) for every e, f = e + k in one column, until an offset
     finds no pair.  Rows ascend within a column, so every product lands
-    above the diagonal and the result is exactly Hermitian.  A batch is
-    scanned for zeros once, over the union of its rows' supports, but each
-    register then keeps only its own nonzeros, so its adds run in the order
-    a call of its own makes and the matrices are bit-identical.  Beside its
-    output the call holds O(samples x nonzeros) plan and scratch arrays,
-    however dense the input.  Raises CapacityError when the kept side
+    above the diagonal and the result is exactly Hermitian.  Each register
+    keeps only its own nonzero entries, so its adds run in the order a call
+    of its own makes, whatever exact zeros or other indices ``index``
+    carries, and the matrices are bit-identical to reducing the dense
+    register.  Beside its output the call holds O(samples x len(index))
+    plan and scratch arrays.  Raises CapacityError when the kept side
     d^size exceeds ``REDUCED_SIDE_LIMIT``.
     """
-    require_dim(d)
-    require_pairs(n)
-    if subset.n != n:
-        raise ValueError(f"subset spans {subset.n} pairs, register has {n}")
+    side = _kept_side(d, n, subset)
     size = 2 * n + 1
-    vecs = np.asarray(vec, dtype=complex)
-    if vecs.ndim not in (1, 2) or vecs.shape[-1] != d**size:
-        raise ValueError(f"expected registers of {d**size} amplitudes, got shape {vecs.shape}")
+    index = np.asarray(index)
+    batch = np.asarray(values, dtype=complex)
+    if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+        raise ValueError(f"expected a 1-D array of flat indices, got {index.dtype} {index.shape}")
+    if batch.ndim not in (1, 2) or batch.shape[-1] != len(index):
+        raise ValueError(f"expected amplitudes at {len(index)} indices, got shape {batch.shape}")
+    if len(index) and not 0 <= index.min() <= index.max() < d**size:
+        raise ValueError(f"flat indices must lie in 0..{d**size - 1}")
     keep_axes = list(subset.kept_axes())
-    side = d ** len(keep_axes)
-    require_capacity("kept side d^size", side, REDUCED_SIDE_LIMIT)
-    batch = vecs.reshape(-1, d**size)
-    flat = np.flatnonzero(batch.any(axis=0))
-    digits = np.unravel_index(flat, (d,) * size)
+    digits = np.unravel_index(index, (d,) * size)
     traced = [ax for ax in range(size) if ax not in keep_axes]
     rows = np.ravel_multi_index([digits[ax] for ax in keep_axes], (d,) * len(keep_axes))
     cols = np.ravel_multi_index([digits[ax] for ax in traced], (d,) * len(traced))
-    order = np.argsort(cols * side + rows)  # by column, then by row
-    values = batch[:, flat[order]]
+    keys = cols * side + rows
+    order = np.argsort(keys)  # by column, then by row
+    if np.any(np.diff(keys[order]) == 0):
+        raise ValueError("flat indices must be distinct")
+    single = batch.ndim == 1
+    batch = batch.reshape(-1, len(index))
+    values = batch[:, order]
     # each register keeps only its own nonzeros, under column numbers of its
     # own: an offset counted over the union would reorder its adds
     reg, at = np.nonzero(values)
@@ -387,12 +446,16 @@ def reduce_encoded(
         np.add.at(flat_out, lead[f] + rows[e], prod.conj())
     labels = subset.kept_labels()
     reduced = [ReducedState(d=d, labels=labels, matrix=m) for m in out]
-    return reduced[0] if vecs.ndim == 1 else reduced
+    return reduced[0] if single else reduced
 
 
 def oracle_reduced(psi: PureState, d: int, n: int, subset: RegisterSubset) -> ReducedState:
-    """Encode psi and contract: the ground-truth reduced state of a subset."""
-    return reduce_encoded(encode(psi, d, n), d, n, subset)
+    """Encode psi and contract: the ground-truth reduced state of a subset.
+
+    The encoder's support goes straight to :func:`reduce_support`, so no
+    d^(2n+1) register is allocated, filled or scanned.
+    """
+    return reduce_support(*encode_support(psi, d, n), d, n, subset)
 
 
 def partial_trace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from cloneleak.protocol import (
     ReducedState,
     RegisterSubset,
     encode,
+    encode_support,
     reduce_encoded,
 )
 from oracle_helpers import numeric_independence_test
@@ -42,7 +44,7 @@ def sub(labels, n):
 def replay(d, labels, n, config):
     # one row as run_sweep builds it: config's seeded inputs, encoded together
     states = random_states(d, config.samples, config.seed)
-    return evaluate_subset(d, sub(labels, n), states, encode(states, d, n), config)
+    return evaluate_subset(d, sub(labels, n), states, encode_support(states, d, n), config)
 
 
 def test_is_authorized_examples():
@@ -246,7 +248,7 @@ def test_evaluate_subset_rejects_a_sample_count_off_its_config():
     config = SweepConfig(dims=(d,), ns=(n,), samples=4, seed=3)
     states = random_states(d, 1, seed=3)
     with pytest.raises(ValueError, match="expected 4 samples, got 1"):
-        evaluate_subset(d, sub("S1", n), states, encode(states, d, n), config)
+        evaluate_subset(d, sub("S1", n), states, encode_support(states, d, n), config)
 
 
 def test_sweep_config_validation():
@@ -336,6 +338,22 @@ def test_run_sweep_capacity_rows_are_reported_not_fatal():
     assert all(row.oracle_max_distance is None for row in report.rows)
     note = f"capacity: register size d^(2n+1) = {30**7} exceeds limit 10000000"
     assert all(row.note == note for row in report.rows)
+
+
+def test_run_sweep_holds_no_dense_registers():
+    # a (7, 3) shape's 10 registers would take 132 MB dense; their support
+    # is 2% of that, and each aligned row's states and closed forms about
+    # 19 MB each
+    config = SweepConfig(dims=(7,), ns=(3,))
+    batch_bytes = config.samples * 7**7 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        report = run_sweep(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_agree and not report.skipped
+    assert peak < batch_bytes
 
 
 def test_run_sweep_detects_forced_mismatch():

@@ -31,8 +31,12 @@ def test_classify_json_output(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "completely_uninformative"
     assert payload["maximally_mixed"] is True
-    assert payload["g"] == 1
+    assert (payload["p"], payload["q"], payload["g"]) == (1, 1, 1)
     assert payload["leak_terms"] == []
+    code, out, _ = run(capsys, "classify", "-d", "5", "-n", "2", "--subset", "S1,N1,N2", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["p"], payload["q"], payload["g"]) == (None, None, None)
 
 
 def test_classify_rejects_bad_labels(capsys):

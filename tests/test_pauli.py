@@ -170,6 +170,16 @@ def test_pure_state_validation():
     assert not state.amplitudes.flags.writeable
 
 
+def test_basis_state_index():
+    # an int index wraps mod d; anything else names its type instead of
+    # being read as an int (True as |1>) or failing inside numpy (1.5)
+    assert_allclose(PureState.basis(3, 4).amplitudes, [0, 1, 0], atol=0)
+    assert_allclose(PureState.basis(3, -1).amplitudes, [0, 0, 1], atol=0)
+    for bad in (True, False, 1.5, 1.0, "1", None):
+        with pytest.raises(TypeError, match="basis index must be an int"):
+            PureState.basis(2, bad)
+
+
 def test_uniform_state():
     state = PureState.uniform(5)
     assert_allclose(state.amplitudes, np.full(5, 1 / np.sqrt(5)), atol=1e-15)

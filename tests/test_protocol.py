@@ -17,12 +17,14 @@ from cloneleak.protocol import (
     RegisterSubset,
     build_encoder,
     encode,
+    encode_support,
     kron_all,
     oracle_reduced,
     parse_label,
     partial_trace,
     permute_subsystems,
     reduce_encoded,
+    reduce_support,
 )
 from oracle_helpers import bell_state
 
@@ -316,13 +318,24 @@ def test_reduced_state_serialization_roundtrip():
 
 
 def test_oracle_outputs_are_density_matrices():
+    # the encoder's support reduces to the same bits as its dense register;
+    # basis states leave exact zeros in that support, which must be dropped
     for d, n in ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3)):
         psi = random_states(d, 1, seed=5 * d + n)[0]
-        vec = encode(psi, d, n)
+        other = random_states(d, 1, seed=d)[0]
+        batch = [psi, PureState.basis(d, 0), other, PureState.basis(d, d - 1)]
+        index, values = encode_support(batch, d, n)
+        assert values.shape == (len(batch), d ** (n + 2)) and np.any(values == 0)
+        registers = encode(batch, d, n)
         for members in itertools.product(("none", "signal", "noise", "both"), repeat=n):
             if all(m == "none" for m in members):
                 continue
-            rho = reduce_encoded(vec, d, n, RegisterSubset(members)).check(atol=1e-10)
+            sub = RegisterSubset(members)
+            dense = reduce_encoded(registers, d, n, sub)
+            for rho, alone in zip(reduce_support(index, values, d, n, sub), dense):
+                assert np.array_equal(rho.matrix, alone.matrix), (d, n, members)
+            assert np.array_equal(oracle_reduced(psi, d, n, sub).matrix, dense[0].matrix)
+            rho = reduce_encoded(registers[0], d, n, sub).check(atol=1e-10)
             assert np.array_equal(rho.matrix, rho.matrix.conj().T), (d, n, members)
 
 
@@ -463,6 +476,37 @@ def test_reduce_encoded_memory_stays_near_the_output_on_dense_input():
     assert rho.dim == 512
     assert peak < 3 * rho.matrix.nbytes
     assert abs(np.trace(rho.matrix) - 1) < 1e-12
+
+
+def test_reduce_support_validation():
+    index, values = encode_support(PureState.basis(2, 0), 2, 1)
+    sub = RegisterSubset.from_labels("S1", 1)
+    with pytest.raises(ValueError, match="amplitudes at"):
+        reduce_support(index, values[:-1], 2, 1, sub)
+    with pytest.raises(ValueError, match="flat indices"):
+        reduce_support(index.astype(float), values, 2, 1, sub)
+    with pytest.raises(ValueError, match="distinct"):
+        reduce_support(np.zeros_like(index), values, 2, 1, sub)
+    with pytest.raises(ValueError, match="lie in"):
+        reduce_support(index + 8, values, 2, 1, sub)
+    with pytest.raises(ValueError, match="spans"):
+        reduce_support(index, values, 2, 1, RegisterSubset.from_labels("S1", 2))
+
+
+def test_oracle_reduced_never_forms_the_register():
+    # at (2, 11) the dense register is 2^23 amplitudes, 134 MB, while its
+    # support holds 2^13 of them
+    d, n = 2, 11
+    psi = random_states(d, 1, seed=11)[0]
+    register_bytes = d ** (2 * n + 1) * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        rho = oracle_reduced(psi, d, n, RegisterSubset.from_labels("S1,N2", n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho.dim == 4
+    assert peak < 0.1 * register_bytes
 
 
 def test_bell_split_identities():
