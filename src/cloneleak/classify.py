@@ -99,6 +99,31 @@ def _matrix(state: ReducedState | np.ndarray) -> np.ndarray:
     return state.matrix if isinstance(state, ReducedState) else np.asarray(state, dtype=complex)
 
 
+def _components(pattern: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean pattern, stacked by size.
+
+    Node i joins node j when ``pattern[i, j]`` holds.  Returns one
+    (count, size) index array per component size, each row one component
+    in ascending order, so a pattern with one component gives
+    ``[arange(side)[None]]``.  Every node takes the smallest number among
+    its neighbours and itself, then the number that node holds, until no
+    number moves; each component then holds its smallest node.
+    """
+    side = len(pattern)
+    label = np.arange(side, dtype=np.min_scalar_type(side))  # keeps the side^2 scratch small
+    while True:
+        low = np.minimum(np.where(pattern, label, side).min(axis=1, initial=side), label)
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.argsort(label, kind="stable")  # by component, ascending within
+    counts = np.bincount(label, minlength=side)
+    sizes = counts[counts > 0]
+    firsts = np.cumsum(sizes) - sizes
+    return [order[firsts[sizes == k, None] + np.arange(k)] for k in sorted(set(sizes.tolist()))]
+
+
 def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.ndarray) -> float:
     """Half the absolute eigenvalue sum of the difference's Hermitian part.
 
@@ -106,12 +131,35 @@ def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.n
     residue that is not Hermitian would otherwise be read as a matrix whose
     Frobenius norm exceeds its own.  The Hermitian part (X + X^H)/2 has norm
     at most ||X||_F, which keeps T <= sqrt(side)/2 * ||X||_F true.
+
+    The difference X is split into the connected components of its exact
+    nonzero pattern, made symmetric, and ``eigvalsh`` runs once per
+    component size on the stacked Hermitian parts of its blocks.  The
+    Hermitian part is zero between components, so permuting it to them is
+    a similarity that keeps its spectrum; the split is read from exact
+    zeros, so no tolerance decides it.  A pattern with one component is the
+    dense case, whose one block is the Hermitian part itself.  Two
+    ReducedStates must share ``d`` and ``labels``; raw arrays need only the
+    same shape.
     """
+    if isinstance(first, ReducedState) and isinstance(second, ReducedState):
+        if (first.d, first.labels) != (second.d, second.labels):
+            raise ValueError(
+                f"states over different qudits: d={first.d} {list(first.labels)} "
+                f"vs d={second.d} {list(second.labels)}"
+            )
     a, b = _matrix(first), _matrix(second)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     x = a - b
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (x + x.conj().T)))))
+    pattern = x != 0
+    pattern |= pattern.T
+    total = 0.0
+    for idx in _components(pattern):
+        block = x[idx[:, :, None], idx[:, None, :]]
+        herm = 0.5 * (block + block.conj().swapaxes(1, 2))
+        total += float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
+    return 0.5 * total
 
 
 def maximally_mixed(d: int, num_qudits: int) -> np.ndarray:
@@ -293,42 +341,66 @@ def _subsets_for(config: SweepConfig, n: int) -> list[RegisterSubset]:
     return [RegisterSubset.from_labels(labels, n) for labels in config.subsets]
 
 
-# Relative widening of every Frobenius bound.  Each eigenvalue from eigvalsh
-# lies within about side * eps * ||X||_2 of the true one, so the computed
-# trace distance can exceed the true one by about side^1.5 * eps times the
-# bound (>= sqrt(side)/2 * ||X||_2): 6e-11 at REDUCED_SIDE_LIMIT, and the
+# Relative widening of every Frobenius bound.  ``trace_distance`` splits a
+# difference into blocks of the components of its nonzero pattern, so each
+# eigenvalue lies within about s * eps * ||X_b||_2 of the true one, with s
+# the side of its block X_b.  Summed over the blocks, and since
+# sum_b sqrt(s_b) ||X_b||_F <= sqrt(side) ||X||_F, the computed trace
+# distance exceeds the true one by at most about s_max^1.5 * eps times the
+# bound sqrt(side)/2 * ||X||_F: 6e-11 when one block fills
+# REDUCED_SIDE_LIMIT, the dense case, and less for smaller blocks.  The
 # bound's own rounding is smaller still.  A widened bound therefore stays
 # above the computed distance it stands for, and a pair whose bound ties the
 # running maximum within rounding is diagonalized.
 _SCAN_SLACK = 1e-9
 
 
+def _joint_support(states: Sequence[ReducedState | np.ndarray]) -> np.ndarray:
+    """Flat indices at which any of the equally shaped ``states`` is nonzero."""
+    mask = _matrix(states[0]) != 0
+    for state in states[1:]:
+        mask |= _matrix(state) != 0
+    return np.flatnonzero(mask)
+
+
+def _gather(states: Sequence[ReducedState | np.ndarray], support: np.ndarray) -> np.ndarray:
+    """One row per state: its entries at the flat indices ``support``."""
+    return np.array([np.take(_matrix(state), support) for state in states])
+
+
+def _bounds(diffs: np.ndarray, side: int) -> np.ndarray:
+    """Widened bound sqrt(side)/2 * ||X||_F * (1 + _SCAN_SLACK) per row X of ``diffs``.
+
+    A row may omit entries that are zero in X: they add nothing to its norm.
+    Each norm must be taken of the difference itself: through a Gram matrix,
+    ||a||^2 + ||b||^2 - 2 Re<a, b> cancels to about 1e-9 for differences
+    near 1e-16, which decides nothing.
+    """
+    return 0.5 * math.sqrt(side) * np.linalg.norm(diffs, axis=-1) * (1 + _SCAN_SLACK)
+
+
 def _max_distance(
     pairs: Sequence[tuple[ReducedState | np.ndarray, ReducedState | np.ndarray]],
+    bounds: np.ndarray,
     tol: float,
     witness: float,
 ) -> tuple[float, bool]:
     """Largest trace distance over ``pairs``, or a certified bound on it.
 
-    Every difference X obeys T(X) <= sqrt(side)/2 * ||X||_F; each bound is
-    that value widened by ``_SCAN_SLACK``.  When the bound is <= tol and
-    < witness for every pair, each gate reads the same on the largest bound
-    as on the exact maximum, so the bound is returned with True.  Otherwise
-    the exact maximum is returned with False: pairs are diagonalized by
-    ``trace_distance`` in descending order of bound until no bound left
-    reaches the largest distance found, since no skipped pair can then
-    exceed it.  Each norm is taken of the difference itself: through a Gram
-    matrix, ||a||^2 + ||b||^2 - 2 Re<a, b> cancels to about 1e-9 for
-    differences near 1e-16, which decides nothing.
+    ``bounds[i]`` is the widened bound ``_bounds`` gives for pair i: every
+    difference X obeys T(X) <= sqrt(side)/2 * ||X||_F.  When the bound is
+    <= tol and < witness for every pair, each gate reads the same on the
+    largest bound as on the exact maximum, so the bound is returned with
+    True.  Otherwise the exact maximum is returned with False: pairs are
+    diagonalized by ``trace_distance`` in descending order of bound until no
+    bound left reaches the largest distance found, since no skipped pair can
+    then exceed it.
     """
-    bounds = []
-    for a, b in pairs:
-        x = _matrix(a) - _matrix(b)
-        bounds.append(0.5 * math.sqrt(len(x)) * float(np.linalg.norm(x)) * (1 + _SCAN_SLACK))
-    if all(bound <= tol and bound < witness for bound in bounds):
-        return max(bounds, default=0.0), True
+    top = float(np.max(bounds, initial=0.0))
+    if top <= tol and top < witness:
+        return top, True
     best = 0.0
-    for i in sorted(range(len(pairs)), key=bounds.__getitem__, reverse=True):
+    for i in np.argsort(-bounds, kind="stable"):  # ties keep the order of pairs
         if bounds[i] < best:
             break
         best = max(best, trace_distance(*pairs[i]))
@@ -352,7 +424,10 @@ def evaluate_subset(
     ``reduce_support`` call, and all aligned closed forms in one
     ``aligned_reduced`` call.  ``tol`` and ``witness`` come from ``config``.
     A distance at or below ``tol`` may be reported as a certified upper
-    bound (see ``_max_distance``); its ``*_bound`` field says so.
+    bound (see ``_max_distance``); its ``*_bound`` field says so.  Every
+    bound of the row is summed over one joint support, the entries where an
+    oracle state, a closed form or the maximally mixed state is nonzero, so
+    each state is gathered there once and no dense difference is formed.
     """
     tol, witness = config.tol, config.witness
     cls = classify_subset(d, subset)
@@ -388,12 +463,7 @@ def evaluate_subset(
             agree=True,
             note=f"capacity: {exc}",
         )
-    oracle_max, oracle_bound = _max_distance(
-        list(itertools.combinations(reduced, 2)), tol, witness
-    )
-
-    analytic_dist: float | None = None
-    analytic_bound: bool | None = None
+    closed: list[ReducedState] = []
     if not cls.authorized:
         # no CapacityError here: each closed form guards the same side d^size
         # against the REDUCED_SIDE_LIMIT that reduce_support has just passed
@@ -401,16 +471,44 @@ def evaluate_subset(
             closed = aligned_reduced(d, subset, states)
         else:  # input-free: one closed form serves every sample
             closed = [missing_pair_subset_reduced(d, subset.n, subset)] * len(reduced)
-        analytic_dist, analytic_bound = _max_distance(list(zip(closed, reduced)), tol, witness)
+    uninformative = cls.verdict == COMPLETELY_UNINFORMATIVE
+    mixed = [maximally_mixed(d, subset.size)] if uninformative else []
+    # an entry that is zero in every compared state is zero in every difference
+    side = reduced[0].dim
+    joint = _joint_support([*reduced, *closed, *mixed])
+    oracle = _gather(reduced, joint)
+    # pairs in the order of combinations, one state's later partners at a
+    # time: no more than samples - 1 differences are held at once
+    oracle_bounds = [_bounds(oracle[i + 1 :] - oracle[i], side) for i in range(len(oracle))]
+    oracle_max, oracle_bound = _max_distance(
+        list(itertools.combinations(reduced, 2)),
+        np.concatenate(oracle_bounds),
+        tol,
+        witness,
+    )
+
+    analytic_dist: float | None = None
+    analytic_bound: bool | None = None
+    if closed:
+        analytic_dist, analytic_bound = _max_distance(
+            list(zip(closed, reduced)),
+            _bounds(_gather(closed, joint) - oracle, side),
+            tol,
+            witness,
+        )
 
     notes: list[str] = []  # each is a disagreement; the row agrees when none is found
     if analytic_dist is not None and analytic_dist > tol:
         notes.append("closed form disagrees with oracle")
-    if cls.verdict == COMPLETELY_UNINFORMATIVE:
+    if uninformative:
         if not oracle_max <= tol:
             notes.append("verdict says input-independent, oracle disagrees")
-        mixed = maximally_mixed(d, subset.size)
-        mixed_dist, _ = _max_distance([(rho, mixed) for rho in reduced], tol, witness)
+        mixed_dist, _ = _max_distance(
+            [(rho, mixed[0]) for rho in reduced],
+            _bounds(oracle - _gather(mixed, joint), side),
+            tol,
+            witness,
+        )
         if cls.maximally_mixed and mixed_dist > tol:
             notes.append("flagged maximally mixed, oracle disagrees")
         if not cls.maximally_mixed and mixed_dist < witness:

@@ -33,6 +33,7 @@ qudits ascending by pair index, then selected noise qudits ascending.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -268,6 +269,38 @@ def build_encoder(d: int, n: int) -> np.ndarray:
     return out / d
 
 
+@functools.lru_cache(maxsize=8)
+def _encoder_tables(d: int) -> tuple[np.ndarray, ...]:
+    """The per-d tables of :func:`encode_support`, built once and read-only.
+
+    Returns ``(words, coeffs, members, cells, factor)``: the d^2 words
+    X^k Z^l, row k*d + l, with their coefficients c_kl / d; the branches of
+    each group of equal pair-factor pattern; each group's d pattern cells;
+    and the pair factor at them, over sqrt(d).  Only ``words`` grows as d^4:
+    16 * d^4 bytes, about 157 MB at d = 56, the largest d the d^4 guard
+    admits, so the 8 entries the cache holds take at most about 1.3 GB, and
+    a few KB each for the dimensions of a typical sweep.
+    """
+    shifts = np.array([PauliWord(d, a=k).matrix() for k in range(d)])
+    clocks = np.array([PauliWord(d, b=l).matrix() for l in range(d)])
+    words = (shifts[:, None] @ clocks).reshape(d * d, d, d)  # X^k Z^l on row k*d + l
+    coeffs = np.array([enc_coefficient_value(d, k, l) for k in range(d) for l in range(d)]) / d
+    # (X^k Z^l (x) I)|Bell> lists the entries of X^k Z^l row by row, over
+    # sqrt(d): row k*d + l of this table, scaled where it is gathered
+    pairs = words.reshape(d * d, -1)
+    groups: dict[bytes, list[int]] = {}
+    for branch, pattern in enumerate(pairs != 0):
+        groups.setdefault(pattern.tobytes(), []).append(branch)
+    members = np.array(list(groups.values()))  # (group, branch)
+    # a Pauli word is monomial, so every pattern holds d entries
+    cells = np.nonzero(pairs[members[:, 0]])[1].reshape(len(members), -1)  # (group, entry)
+    factor = pairs[members[:, :, None], cells[:, None, :]] / np.sqrt(d)
+    tables = (words, coeffs, members, cells, factor)
+    for table in tables:  # every caller shares them
+        table.flags.writeable = False
+    return tables
+
+
 def encode_support(
     psi: PureState | Sequence[PureState], d: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +314,8 @@ def encode_support(
     and one contraction over the group's branches gives its d^(n+1)
     amplitudes.  That is about d^(n+3) products per state, against
     d^(2n+3) for a dense contraction, and neither the encoder nor the
-    d^(2n+1) register is materialized.
+    d^(2n+1) register is materialized.  The word, coefficient and group
+    tables depend on d alone and are built once per d by ``_encoder_tables``.
 
     Returns ``(index, values)``: the d^(n+2) distinct flat indices of the
     support in the layout of :func:`encode`, in no particular order, and
@@ -300,20 +334,7 @@ def encode_support(
         require_state(state, d)
     require_capacity("register size d^(2n+1)", d ** (2 * n + 1), STATE_AMPLITUDE_LIMIT)
     require_capacity("encoder pair table d^4", d**4, STATE_AMPLITUDE_LIMIT)
-    shifts = np.array([PauliWord(d, a=k).matrix() for k in range(d)])
-    clocks = np.array([PauliWord(d, b=l).matrix() for l in range(d)])
-    words = (shifts[:, None] @ clocks).reshape(d * d, d, d)  # X^k Z^l on row k*d + l
-    coeffs = np.array([enc_coefficient_value(d, k, l) for k in range(d) for l in range(d)]) / d
-    # (X^k Z^l (x) I)|Bell> lists the entries of X^k Z^l row by row, over
-    # sqrt(d): row k*d + l of this table, scaled where it is gathered
-    pairs = words.reshape(d * d, -1)
-    groups: dict[bytes, list[int]] = {}
-    for branch, pattern in enumerate(pairs != 0):
-        groups.setdefault(pattern.tobytes(), []).append(branch)
-    members = np.array(list(groups.values()))  # (group, branch)
-    # a Pauli word is monomial, so every pattern holds d entries
-    cells = np.nonzero(pairs[members[:, 0]])[1].reshape(len(members), -1)  # (group, entry)
-    factor = pairs[members[:, :, None], cells[:, None, :]] / np.sqrt(d)
+    words, coeffs, members, cells, factor = _encoder_tables(d)
     # n-fold products over each pattern, and their flat offsets past axis A
     tail, offsets = factor, cells
     for _ in range(n - 1):

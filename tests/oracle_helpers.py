@@ -5,6 +5,8 @@ signal qudit at n = 1, and ``numeric_independence_test`` takes the exact
 largest pairwise trace distance of oracle states, one ``trace_distance``
 per pair, with no bound in between.  ``bell_state`` is the pair state the
 encoder prepares, written out as a vector for the dense reference routes.
+``scan_pairs`` runs the sweep's bound-ordered scan on any list of pairs,
+with their bounds taken the way a sweep row takes them.
 """
 
 import itertools
@@ -12,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from cloneleak import classify
 from cloneleak.classify import trace_distance
 from cloneleak.modnum import require_dim
 from cloneleak.pauli import PauliWord, PureState, expectation, phase_value, random_states
@@ -62,3 +65,12 @@ def numeric_independence_test(
         (trace_distance(a, b) for a, b in itertools.combinations(reduced, 2)), default=0.0
     )
     return IndependenceResult(worst <= tol, worst)
+
+
+def scan_pairs(pairs, tol: float, witness: float) -> tuple[float, bool]:
+    """``classify._max_distance`` over ``pairs``, bounded over their joint support."""
+    firsts, seconds = zip(*pairs)
+    joint = classify._joint_support([*firsts, *seconds])
+    diffs = classify._gather(firsts, joint) - classify._gather(seconds, joint)
+    side = len(classify._matrix(firsts[0]))
+    return classify._max_distance(pairs, classify._bounds(diffs, side), tol, witness)

@@ -34,7 +34,7 @@ from cloneleak.protocol import (
     encode_support,
     reduce_encoded,
 )
-from oracle_helpers import numeric_independence_test
+from oracle_helpers import numeric_independence_test, scan_pairs
 
 
 def sub(labels, n):
@@ -167,6 +167,45 @@ def test_trace_distance_accepts_reduced_states():
     assert trace_distance(rho, np.eye(2) / 2) == 0
     with pytest.raises(ValueError):
         trace_distance(np.eye(2), np.eye(4))
+
+
+def test_trace_distance_rejects_states_over_different_qudits():
+    # equal shapes, different qudits: d=2 S1,N1 and d=4 S1 are both 4 x 4
+    pair = ReducedState(2, ("S1", "N1"), np.eye(4) / 4)
+    for other in (ReducedState(4, ("S1",), np.diag([1.0, 0, 0, 0])),
+                  ReducedState(2, ("S1", "S2"), np.diag([1.0, 0, 0, 0]))):
+        with pytest.raises(ValueError, match=r"\['S1', 'N1'\] vs d=\d \['S1'"):
+            trace_distance(pair, other)
+    # raw arrays carry no qudits, so only their shape is checked
+    assert trace_distance(pair, np.diag([1.0, 0, 0, 0])) == pytest.approx(0.75)
+
+
+def test_trace_distance_of_a_dense_pair_is_its_dense_spectrum():
+    # one component: the block is the Hermitian part itself, so the float is
+    # the one a single dense eigvalsh gives
+    rng = np.random.default_rng(3)
+    for side in (1, 2, 7, 64, 216):
+        a, b = (rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+                for _ in range(2))
+        x = a - b
+        herm = 0.5 * (x + x.conj().T)
+        assert trace_distance(a, b) == 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
+
+
+def test_sweep_diagonalizes_blocks_of_side_d(monkeypatch):
+    # every (6, 3) aligned state splits into blocks of side 6, and so does
+    # every difference the scan diagonalizes
+    inner = np.linalg.eigvalsh
+    sides = []
+
+    def spy(matrix, *args, **kwargs):
+        sides.append(np.shape(matrix)[-1])
+        return inner(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(classify.np.linalg, "eigvalsh", spy)
+    report = run_sweep(SweepConfig(dims=(6,), ns=(3,)))
+    assert report.all_agree and len(report.rows) == 4
+    assert sides and max(sides) <= 6
 
 
 def test_trace_distance_is_a_metric_on_samples():
@@ -437,6 +476,35 @@ def test_closed_form_gate_stays_exact_above_tol(monkeypatch):
         assert row.oracle_max_bound is True
 
 
+def test_closed_form_entry_off_every_oracle_block_is_seen(monkeypatch):
+    # a Hermitian bump of 10*tol where every oracle state is exactly zero:
+    # the row's joint support carries it into the bound, and the pair's own
+    # pattern joins it into a block of the exact distance
+    tol = 1e-9
+    d, n, labels = 2, 3, "S1,N2,N3"  # g = 2: the oracle states leak
+    config = SweepConfig(dims=(d,), ns=(n,), samples=4, seed=5, tol=tol, witness=1e-6)
+    states = random_states(d, config.samples, config.seed)
+    oracle = [reduce_encoded(encode(psi, d, n), d, n, sub(labels, n)).matrix for psi in states]
+    zero = np.logical_and.reduce([m == 0 for m in oracle])
+    i, j = np.argwhere(zero)[0]
+    assert i != j
+    inner = classify.aligned_reduced
+
+    def bumped(*args):
+        out = []
+        for state in inner(*args):
+            bump = np.zeros_like(state.matrix)
+            bump[i, j] = bump[j, i] = 10 * tol
+            out.append(ReducedState(state.d, state.labels, state.matrix + bump))
+        return out
+
+    monkeypatch.setattr(classify, "aligned_reduced", bumped)
+    row = replay(d, labels, n, config)
+    assert not row.agree and "closed form disagrees with oracle" in row.note
+    assert row.analytic_bound is False
+    assert row.analytic_oracle_distance == pytest.approx(10 * tol, rel=1e-5)
+
+
 def test_sweep_distances_match_exact_recomputation():
     check_distances_against_exact_recomputation(
         SweepConfig(dims=(2, 3), ns=(1, 2), family="all", samples=4, seed=8)
@@ -568,7 +636,7 @@ def test_max_distance_is_exact_when_bounds_are_tight():
         truth = max(trace_distance(a, b) for a, b in pairs)
         bound = 0.5 * np.sqrt(side) * max(np.linalg.norm(a - b) for a, b in pairs)
         assert truth == pytest.approx(bound, rel=1e-12)
-        assert classify._max_distance(pairs, 1e-9, 1e-6) == (truth, False), seed
+        assert scan_pairs(pairs, 1e-9, 1e-6) == (truth, False), seed
 
 
 def test_max_distance_is_exact_when_the_largest_bound_is_loose():
@@ -580,6 +648,6 @@ def test_max_distance_is_exact_when_the_largest_bound_is_loose():
     small = (base + np.diag([lam, -lam, 0, 0]) / 100, base)
     flat = (base + 0.6 * lam * np.diag([1, 1, -1, -1]), base)
     assert trace_distance(*loose) < trace_distance(*flat)
-    value, bound = classify._max_distance([loose, small, flat], 1e-9, 1e-6)
+    value, bound = scan_pairs([loose, small, flat], 1e-9, 1e-6)
     assert not bound
     assert value == trace_distance(*flat) == pytest.approx(1.2 * lam)

@@ -12,11 +12,11 @@ from cloneleak.classify import (
     COMPLETELY_UNINFORMATIVE,
     FULLY_INFORMATIVE,
     PARTIALLY_INFORMATIVE,
-    _max_distance,
     classify_subset,
     trace_distance,
 )
 from cloneleak.protocol import BOTH, MEMBERSHIPS, NONE, SIGNAL, RegisterSubset
+from oracle_helpers import scan_pairs
 
 subsets = (
     st.integers(min_value=1, max_value=8)
@@ -100,6 +100,40 @@ def test_max_distance_scan_returns_the_exact_maximum(side, ranks, seed):
     rng = np.random.default_rng(seed)
     states = [_density(rng, side, min(rank, side)) for rank in ranks]
     pairs = list(itertools.combinations(states, 2))
-    value, bound = _max_distance(pairs, 1e-9, 1e-6)
+    value, bound = scan_pairs(pairs, 1e-9, 1e-6)
     if not bound:
         assert value == max(trace_distance(a, b) for a, b in pairs)
+
+
+@st.composite
+def block_differences(draw):
+    # a Hermitian difference, block diagonal under a random permutation, with
+    # blocks of mixed sides summing to at most 64, returned as a pair whose
+    # shared background cancels exactly off the blocks
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=12))
+    sizes = [s for s, total in zip(sizes, itertools.accumulate(sizes)) if total <= 64] or [64]
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    side = sum(sizes)
+    diff = np.zeros((side, side), dtype=complex)
+    start = 0
+    for size in sizes:
+        g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        g[rng.random((size, size)) < 0.3] = 0  # zeros inside a block may split it
+        diff[start:start + size, start:start + size] = g + g.conj().T
+        start += size
+    background = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    background += background.conj().T
+    perm = rng.permutation(side)
+    first, second = background + diff, background  # (s + 0) - s == 0 exactly
+    return first[np.ix_(perm, perm)], second[np.ix_(perm, perm)]
+
+
+@settings(deadline=None)
+@given(pair=block_differences())
+def test_trace_distance_over_blocks_matches_the_dense_spectrum(pair):
+    first, second = pair
+    x = first - second
+    herm = 0.5 * (x + x.conj().T)
+    dense = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
+    assert abs(trace_distance(first, second) - dense) <= 1e-12 * np.linalg.norm(x)

@@ -23,6 +23,7 @@ from cloneleak.protocol import (
     parse_label,
     partial_trace,
     permute_subsystems,
+    _encoder_tables,
     reduce_encoded,
     reduce_support,
 )
@@ -248,6 +249,7 @@ def test_encode_builds_no_d6_pair_table():
     # a d^6 Kronecker pair table would take 268 MB at d = 16; the d^4 table
     # and the d^3 register take about 1 MB
     psi = random_states(16, 1, seed=4)[0]
+    _encoder_tables.cache_clear()  # measure the tables' build too
     tracemalloc.start()
     try:
         encode(psi, 16, 1)
@@ -255,6 +257,22 @@ def test_encode_builds_no_d6_pair_table():
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
+
+
+def test_encoder_tables_are_shared_read_only_and_never_returned():
+    states = random_states(3, 2, seed=4)
+    _encoder_tables.cache_clear()
+    index, values = encode_support(states, 3, 2)
+    first = index.copy(), values.copy()
+    tables = _encoder_tables(3)
+    assert _encoder_tables(3) is tables
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table.flat[0] = 0
+    index[:], values[:] = 0, 0  # the outputs are the caller's own
+    again = encode_support(states, 3, 2)
+    assert np.array_equal(again[0], first[0]) and np.array_equal(again[1], first[1])
 
 
 def test_encode_memory_stays_near_the_register():
