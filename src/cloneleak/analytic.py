@@ -32,7 +32,6 @@ from .protocol import (
     REDUCED_SIDE_LIMIT,
     ReducedState,
     RegisterSubset,
-    kron_all,
     permute_subsystems,
     require_capacity,
     require_pairs,
@@ -88,6 +87,35 @@ def leaked_words(sols: CongruenceSolutionSet) -> tuple[LeakTerm, ...]:
     )
 
 
+def _column_entries(word: PauliWord) -> tuple[np.ndarray, np.ndarray]:
+    """Row and value of each column's one nonzero in a word's matrix.
+
+    X^a Z^b sends column k to row k + a; the value is read from the word's
+    own matrix, so it carries the same bits.
+    """
+    col = np.arange(word.d)
+    to = (col + word.a) % word.d
+    return to, word.matrix()[to, col]
+
+
+def _monomial(
+    d: int, factors: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Kronecker product of monomial d x d factors, one entry per column.
+
+    ``factors`` gives each factor's ``_column_entries``.  Column j of the
+    product holds its only nonzero at row ``rows[j]``, with value
+    ``values[j]``; the values are multiplied in the order ``np.kron``
+    multiplies them, so they equal the dense product's entries bit for bit.
+    """
+    rows = np.zeros(1, dtype=np.intp)
+    values = np.ones(1, dtype=complex)
+    for to, entries in factors:
+        rows = (rows[:, None] * d + to).ravel()
+        values = (values[:, None] * entries).ravel()
+    return rows, values
+
+
 def aligned_reduced(
     d: int, subset: RegisterSubset, psi: PureState | Sequence[PureState]
 ) -> ReducedState | list[ReducedState]:
@@ -95,9 +123,11 @@ def aligned_reduced(
 
     The maximally mixed background I/d^n plus one tensor-product term per
     leaked word: its signal factor on each kept signal, its noise factor on
-    each kept noise.  A sequence of states gives a list with one state per
-    input; each word's n-fold Kronecker matrix is then built once for all of
-    them, and each state is bit-identical to the one its input gives alone.
+    each kept noise.  That product is monomial, so each term adds d^n
+    entries, one per column, and only the entries some term or the
+    background touches are written and scaled; no dense side x side word is
+    formed.  A sequence of states gives a list with one state per input,
+    each bit-identical to the one its input gives alone.
     """
     if not subset.is_aligned:
         raise ValueError(f"subset {subset} is not aligned")
@@ -109,14 +139,19 @@ def aligned_reduced(
         require_state(state, d)
     side = d**subset.n
     require_capacity("reduced side d^n", side, REDUCED_SIDE_LIMIT)
-    acc = np.empty((len(states), side, side), dtype=complex)
-    acc[:] = np.eye(side)
+    acc = np.zeros((len(states), side, side), dtype=complex)
+    flat = acc.reshape(len(states), -1)
+    cols = np.arange(side)
+    touched = [cols * (side + 1)]  # the diagonal
+    flat[:, touched[0]] = 1
     for term in leaked_words(sols):
         sig, noi = term.signal_word(), term.noise_word()
-        word = kron_all([sig.matrix()] * p + [noi.matrix()] * q)
-        for state, mat in zip(states, acc):
-            mat += term.coefficient * expectation(state, sig) * word
-    acc /= side
+        rows, values = _monomial(d, [_column_entries(sig)] * p + [_column_entries(noi)] * q)
+        scale = np.array([term.coefficient * expectation(state, sig) for state in states])
+        touched.append(rows * side + cols)
+        flat[:, touched[-1]] += scale[:, None] * values
+    at = np.sort(np.concatenate(touched))
+    flat[:, at[np.append(True, at[1:] != at[:-1])]] /= side  # each touched entry once
     labels = subset.kept_labels()
     reduced = [ReducedState(d=d, labels=labels, matrix=mat) for mat in acc]
     return reduced[0] if isinstance(psi, PureState) else reduced

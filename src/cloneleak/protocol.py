@@ -18,14 +18,16 @@ a dense contraction costs d^(2n+3).  :func:`reduce_support` traces a
 register given as such a list of entries down to a subset, exactly and with
 no appeal to any closed form; the analytic module reproduces the reduced
 states the other way around, which is what makes the cross-check
-meaningful.  It multiplies only amplitudes that share a traced index,
-pairing them by their offset within that index's column, and it drops the
-exact zeros itself, so it learns nothing from the encoder but where the
-entries sit.  :func:`oracle_reduced` and the sweep hand the encoder's
-support straight to the reduction, so no d^(2n+1) register is allocated on
-the oracle path.  :func:`encode` scatters the support into a dense register,
-and :func:`reduce_encoded` scans a dense register for its nonzeros and
-reduces them by the same kernel, so it is exact for any vector.
+meaningful.  It multiplies only amplitudes that share a traced index:
+traced indices whose columns hold the same kept rows form one block of the
+reduced state, and each block is the Gram of its columns, taken for all
+blocks of a shape in one batched matmul.  It drops the exact zeros itself,
+so it learns nothing from the encoder but where the entries sit.
+:func:`oracle_reduced` and the sweep hand the encoder's support straight to
+the reduction, so no d^(2n+1) register is allocated on the oracle path.
+:func:`encode` scatters the support into a dense register, and
+:func:`reduce_encoded` scans a dense register for its nonzeros and reduces
+them by the same kernel, so it is exact for any vector.
 
 Reduced states keep their qudits in a canonical order: selected signal
 qudits ascending by pair index, then selected noise qudits ascending.
@@ -396,6 +398,75 @@ def reduce_encoded(
     return reduce_support(flat, vecs[..., flat], d, n, subset)
 
 
+def _column_keys(index: np.ndarray, d: int, size: int, kept: Sequence[int]) -> np.ndarray:
+    """column * side + row of each flat index into a register of ``size`` qudits.
+
+    The row is the kept digits in the order of ``kept`` and the column the
+    traced digits in axis order, so a key is its flat index with the digits
+    reordered.  The digits are reordered a chunk at a time, by a table over
+    the chunk's values; a chunk has as many digits as keep its table no
+    longer than ``index``, so an encoded support takes two lookups per entry
+    and one divmod.
+    """
+    where = [ax for ax in range(size) if ax not in kept] + list(kept)
+    place = [0] * size  # what a digit of each axis is worth in the key
+    for rank, ax in enumerate(where):
+        place[ax] = d ** (size - 1 - rank)
+    width = 1
+    while width < size and d ** (width + 1) <= len(index):
+        width += 1
+    keys = np.zeros(len(index), dtype=np.int64)
+    rest = index.astype(np.intp, copy=False)
+    for stop in range(size, 0, -width):  # the lowest digits first
+        start = max(stop - width, 0)
+        # each step appends one digit on the right of the table's index
+        steps = np.outer(place[start:stop], np.arange(d))
+        table = functools.reduce(lambda table, row: np.add.outer(table, row).ravel(), steps)
+        if start:
+            rest, digits = np.divmod(rest, d ** (stop - start))
+        else:
+            digits = rest
+        keys += table[digits]
+    return keys
+
+
+def _runs(changes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal items among len(changes) + 1.
+
+    ``changes[i]`` says whether item i + 1 differs from item i.
+    """
+    bounds = np.concatenate(([0], changes.nonzero()[0] + 1, [len(changes) + 1]))
+    return bounds[:-1], bounds[1:] - bounds[:-1]
+
+
+def _gram_plan(keys: np.ndarray, side: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group a support's traced columns into blocks of equal row-sets.
+
+    ``keys`` are column * side + row of the entries, ascending.  Columns
+    holding the same rows share one c x c block of the Gram; the blocks of
+    one shape, c rows over K columns, come as ``(rowsets, entries)``: the
+    (groups, c) rows of each block and the (groups, K, c) positions in
+    ``keys`` of the entries summed into it.
+    """
+    if not len(keys):
+        return []
+    cols, rows = np.divmod(keys, side)
+    rows = rows.astype(np.min_scalar_type(side - 1))  # small rows sort by radix
+    starts, counts = _runs(cols[1:] != cols[:-1])  # each column's entries
+    plan = []
+    for c in np.bincount(counts).nonzero()[0]:
+        entries = starts[counts == c][:, None] + np.arange(c)  # (columns, c)
+        tuples = rows[entries]
+        order = np.lexsort(tuples.T[::-1])  # equal row tuples become adjacent
+        ranked = tuples[order]
+        heads, sizes = _runs((ranked[1:] != ranked[:-1]).any(axis=1))
+        for k in np.bincount(sizes).nonzero()[0]:
+            first = heads[sizes == k]
+            members = order[first[:, None] + np.arange(k)]  # (groups, K) columns
+            plan.append((ranked[first], entries[members]))
+    return plan
+
+
 def reduce_support(
     index: np.ndarray, values: np.ndarray, d: int, n: int, subset: RegisterSubset
 ) -> ReducedState | list[ReducedState]:
@@ -407,25 +478,32 @@ def reduce_support(
     list with one state per row.  Every amplitude off ``index`` is zero.
     The source qudit and every unselected qudit are traced out exactly,
     without forming a density matrix.  Each entry's flat index splits into
-    a kept row i and a traced column t, and rho = sum_t m_t m_t^H is
-    accumulated from the products of the entries that share a column:
-    sum_t c_t^2 products, with c_t the number of nonzeros in column t.  A
-    dense Gram costs side^2 times the number of columns instead: for an
-    aligned subset of an encoded register, where every column holds d
-    nonzeros, (side/d)^2 times more.
+    a kept row and a traced column t, and rho = sum_t m_t m_t^H sums one
+    outer product per column over that column's nonzero rows.
 
-    The entries are sorted by column, then by row, and paired by their
-    offset within a column: one pass adds |m_e|^2 on the diagonal, then
-    pass k adds m_e conj(m_f) at (row_e, row_f) and its exact conjugate at
-    (row_f, row_e) for every e, f = e + k in one column, until an offset
-    finds no pair.  Rows ascend within a column, so every product lands
-    above the diagonal and the result is exactly Hermitian.  Each register
-    keeps only its own nonzero entries, so its adds run in the order a call
-    of its own makes, whatever exact zeros or other indices ``index``
-    carries, and the matrices are bit-identical to reducing the dense
-    register.  Beside its output the call holds O(samples x len(index))
-    plan and scratch arrays.  Raises CapacityError when the kept side
-    d^size exceeds ``REDUCED_SIDE_LIMIT``.
+    The plan is read from where a register's entries are nonzero, once per
+    distinct pattern in the batch: the entries are sorted by column, then
+    by row, and the columns holding the same tuple of rows form a group,
+    whose c x c block of rho is the Gram of its K columns.  The groups of
+    one (c, K) shape are gathered into one (registers, groups, 2K, c) array
+    W = [Re; Im] per group, and two batched real matmuls give every block:
+    its real part is (G + G^T)/2 with G = W^T W, its imaginary part is
+    P - P^T with P = Im^T Re.  The blocks are added into rho at their rows.
+    An aligned subset of an encoded register has one shape, c = d, with
+    disjoint row-sets; a dense register is one group, a dense Gram; an
+    irregular vector has many groups, whose overlapping blocks add up.
+    Every block is exactly Hermitian (a + b = b + a and a - b = -(b - a)
+    in floating point), and entries (i, j) and (j, i) of rho receive their
+    adds in the same order, so rho is exactly Hermitian.  A register's
+    blocks depend only on its own nonzero entries, so a batch row is
+    bit-identical to a call of its own and to reducing the dense register,
+    whatever exact zeros or other indices ``index`` carries.  Beside its
+    output the call holds O(samples x len(index)) sort, gather and matmul
+    arrays, and per block shape the blocks and their target indices:
+    samples x sum_g c_g^2 numbers: at most side^2 per register when the
+    row-sets are disjoint, and at most sum_t c_t^2, one per product of two
+    entries of a column, when they overlap.  Raises CapacityError when the
+    kept side d^size exceeds ``REDUCED_SIDE_LIMIT``.
     """
     side = _kept_side(d, n, subset)
     size = 2 * n + 1
@@ -437,34 +515,38 @@ def reduce_support(
         raise ValueError(f"expected amplitudes at {len(index)} indices, got shape {batch.shape}")
     if len(index) and not 0 <= index.min() <= index.max() < d**size:
         raise ValueError(f"flat indices must lie in 0..{d**size - 1}")
-    keep_axes = list(subset.kept_axes())
-    digits = np.unravel_index(index, (d,) * size)
-    traced = [ax for ax in range(size) if ax not in keep_axes]
-    rows = np.ravel_multi_index([digits[ax] for ax in keep_axes], (d,) * len(keep_axes))
-    cols = np.ravel_multi_index([digits[ax] for ax in traced], (d,) * len(traced))
-    keys = cols * side + rows
-    order = np.argsort(keys)  # by column, then by row
-    if np.any(np.diff(keys[order]) == 0):
+    keys = _column_keys(index, d, size, subset.kept_axes())
+    order = keys.argsort(kind="stable")  # by column, then by row
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():
         raise ValueError("flat indices must be distinct")
     single = batch.ndim == 1
-    batch = batch.reshape(-1, len(index))
-    values = batch[:, order]
-    # each register keeps only its own nonzeros, under column numbers of its
-    # own: an offset counted over the union would reorder its adds
-    reg, at = np.nonzero(values)
-    rows, cols, values = rows[order][at], cols[order][at] + reg * d ** len(traced), values[reg, at]
+    batch = np.ascontiguousarray(batch.reshape(-1, len(index)))
+    nonzero = (batch != 0)[:, order]
+    patterns: dict[bytes, list[int]] = {}
+    for reg, bits in enumerate(np.packbits(nonzero, axis=1)):
+        patterns.setdefault(bits.tobytes(), []).append(reg)
+    floats = batch.view(float)  # entry j's real part at 2j, its imaginary part at 2j + 1
     out = np.zeros((len(batch), side, side), dtype=complex)
-    flat_out = out.reshape(-1)
-    lead = reg * side * side + rows * side  # where each entry's output row starts
-    np.add.at(flat_out.real, lead + rows, values.real**2 + values.imag**2)
-    for k in range(1, len(cols)):
-        e = np.flatnonzero(cols[:-k] == cols[k:])
-        if not len(e):
-            break  # columns are contiguous, so no larger offset pairs either
-        f = e + k
-        prod = values[e] * values[f].conj()
-        np.add.at(flat_out, lead[e] + rows[f], prod)
-        np.add.at(flat_out, lead[f] + rows[e], prod.conj())
+    real, imag = out.reshape(-1).real, out.reshape(-1).imag
+    for regs in patterns.values():
+        mine = nonzero[regs[0]].nonzero()[0]
+        source = floats if len(patterns) == 1 else floats[regs]
+        real_at = 2 * order[mine]
+        lead = np.array(regs)[:, None, None, None] * side
+        for rowsets, entries in _gram_plan(keys[mine], side):
+            k = entries.shape[1]
+            at = real_at[entries]
+            w = source.take(np.concatenate((at, at + 1), axis=1), axis=1)  # W = [Re; Im]
+            target = ((lead + rowsets[:, :, None]) * side + rowsets[:, None, :]).ravel()
+            wt = np.ascontiguousarray(w.swapaxes(-1, -2))
+            gram = wt @ w
+            gram += gram.swapaxes(-1, -2)
+            gram *= 0.5
+            np.add.at(real, target, gram.ravel())
+            del gram  # a dense register's one block is side x side
+            p = wt[..., k:] @ w[..., :k, :]  # Im^T Re
+            np.add.at(imag, target, (p - p.swapaxes(-1, -2)).ravel())
     labels = subset.kept_labels()
     reduced = [ReducedState(d=d, labels=labels, matrix=m) for m in out]
     return reduced[0] if single else reduced

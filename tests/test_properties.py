@@ -15,7 +15,16 @@ from cloneleak.classify import (
     classify_subset,
     trace_distance,
 )
-from cloneleak.protocol import BOTH, MEMBERSHIPS, NONE, SIGNAL, RegisterSubset
+from cloneleak.protocol import (
+    BOTH,
+    MEMBERSHIPS,
+    NONE,
+    SIGNAL,
+    RegisterSubset,
+    parse_label,
+    partial_trace,
+    reduce_support,
+)
 from oracle_helpers import scan_pairs
 
 subsets = (
@@ -137,3 +146,53 @@ def test_trace_distance_over_blocks_matches_the_dense_spectrum(pair):
     herm = 0.5 * (x + x.conj().T)
     dense = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
     assert abs(trace_distance(first, second) - dense) <= 1e-12 * np.linalg.norm(x)
+
+
+@st.composite
+def irregular_supports(draw):
+    # registers over a random support of a small register: traced columns
+    # hold mixed numbers of entries, on row-sets that partly overlap; each
+    # register zeroes some entries exactly, and some share a nonzero pattern
+    d, n = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    members = draw(
+        st.lists(st.sampled_from(MEMBERSHIPS), min_size=n, max_size=n).filter(
+            lambda m: set(m) != {NONE}
+        )
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    fill = draw(st.floats(min_value=0.05, max_value=1.0))
+    zeros = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    count = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(seed)
+    amps = d ** (2 * n + 1)
+    index = rng.choice(amps, size=max(1, round(fill * amps)), replace=False)
+    shape = (count, len(index))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mask = rng.random(values.shape) < zeros
+    for reg in range(1, count):
+        if rng.random() < 0.5:
+            mask[reg] = mask[0]
+    values[mask] = 0
+    norms = np.linalg.norm(values, axis=1, keepdims=True)
+    return d, n, RegisterSubset(tuple(members)), index, values / np.where(norms > 0, norms, 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=irregular_supports())
+def test_reduce_support_matches_the_dense_partial_trace_on_irregular_supports(case):
+    # an encoded support only gives blocks of one shape over disjoint
+    # row-sets, so this is what exercises blocks of mixed shapes, blocks
+    # whose row-sets overlap and therefore add up, and mixed patterns
+    d, n, subset, index, values = case
+    keep = []
+    for label in subset.kept_labels():
+        kind, i = parse_label(label)
+        keep.append(2 * i - 1 if kind == "S" else 2 * i)  # layout [A, S1, N1, ..., Sn, Nn]
+    together = reduce_support(index, values, d, n, subset)
+    for row, rho in zip(values, together):
+        vec = np.zeros(d ** (2 * n + 1), dtype=complex)
+        vec[index] = row
+        dense = partial_trace(np.outer(vec, vec.conj()), (d,) * (2 * n + 1), keep)
+        assert np.max(np.abs(rho.matrix - dense)) <= 1e-14
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert np.array_equal(rho.matrix, reduce_support(index, row, d, n, subset).matrix)

@@ -457,6 +457,23 @@ def test_reduce_encoded_is_exact_on_any_vector():
                 assert_allclose(rho.matrix, viamat, rtol=0, atol=1e-14)
 
 
+def test_batch_rows_equal_their_own_calls_on_every_aligned_shape():
+    # a sweep row reduces its 10 samples in one call; each must get the bits
+    # of a call of its own, also once a basis state, whose support holds
+    # exact zeros and so has a second nonzero pattern, joins the batch
+    for d in range(2, 7):
+        for n in range(1, 4):
+            states = random_states(d, 10, seed=7 * d + n)
+            index, values = encode_support([*states, PureState.basis(d, 1)], d, n)
+            assert np.any(values[-1] == 0) and np.all(values[:-1] != 0)
+            for p in range(n + 1):
+                sub = RegisterSubset.aligned(n, p)
+                for batch in (values[:-1], values):
+                    for row, rho in zip(batch, reduce_support(index, batch, d, n, sub)):
+                        alone = reduce_support(index, row, d, n, sub)
+                        assert np.array_equal(rho.matrix, alone.matrix), (d, n, p, len(batch))
+
+
 def test_reduce_encoded_keeps_batch_rows_apart():
     # registers of three nonzeros each: the batch's union support holds
     # fewer entries than there are traced columns, and no entry of one
@@ -509,6 +526,9 @@ def test_reduce_support_validation():
         reduce_support(index + 8, values, 2, 1, sub)
     with pytest.raises(ValueError, match="spans"):
         reduce_support(index, values, 2, 1, RegisterSubset.from_labels("S1", 2))
+    # any integer type of index is read by value
+    small = reduce_support(index.astype(np.uint8), values, 2, 1, sub)
+    assert np.array_equal(small.matrix, reduce_support(index, values, 2, 1, sub).matrix)
 
 
 def test_oracle_reduced_never_forms_the_register():
