@@ -13,8 +13,11 @@ to
 
 where the sum runs over the aligned congruence solutions and
 gamma(a,b) = exp(-i*pi*(a^2 + b^2 + 2*q*a*b + delta*(a+b))/d).  Subsets that
-miss a whole pair instead collapse to an input-independent uniform mixture
-of Bell-basis product states.
+miss a whole pair are input-free: the m pairs they keep whole share one Bell
+label (k, l) of |phi_kl> = d^(-1/2) sum_j w^(l*j) |j+k>|j>, and each lone
+kept qudit is I/d.  Averaging over k asks the kept pairs for one shared
+shift S_i - N_i, and averaging over l for equal noise sums, so each entry
+is 0 or 1/d^(m+1+lone) by digit arithmetic (see missing_pair_subset_reduced).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .protocol import (
     REDUCED_SIDE_LIMIT,
     ReducedState,
     RegisterSubset,
-    permute_subsystems,
     require_capacity,
     require_pairs,
 )
@@ -160,14 +162,9 @@ def aligned_reduced(
 def missing_pair_reduced(d: int, n: int, missing: int) -> ReducedState:
     """State of the n-1 surviving pairs when pair ``missing`` is dropped whole.
 
-    Input-independent: a uniform mixture over the d^2 Bell-basis states,
-    each surviving pair carrying the same basis label,
-
-        (1/d^2) sum_{k,l} (|phi_kl><phi_kl|)^{(x)(n-1)},
-
-    over canonical order (signals ascending, then noises).  This is
-    :func:`missing_pair_subset_reduced` of the subset that keeps every
-    other pair whole.
+    This is :func:`missing_pair_subset_reduced` of the subset that keeps
+    every other pair whole, over canonical order (signals ascending, then
+    noises): every surviving pair carries the same Bell label.
     """
     require_dim(d)
     require_pairs(n)
@@ -185,14 +182,13 @@ def missing_pair_reduced(d: int, n: int, missing: int) -> ReducedState:
 def missing_pair_subset_reduced(d: int, n: int, subset: RegisterSubset) -> ReducedState:
     """Closed-form state of any subset missing at least one whole pair.
 
-    Input-free: the m complete pairs the subset keeps share one Bell label,
-    and every lone kept qudit is I/d,
-
-        (1/d^2) sum_{k,l} (|phi_kl><phi_kl|)^{(x)m} (x) (I/d)^{(x)lone},
-
-    permuted from that pairwise order to canonical order.  For m <= 1 this
-    is I/d^size.  Raises CapacityError when the kept side d^size exceeds
-    ``REDUCED_SIDE_LIMIT``.
+    Input-free: (1/d^2) sum_{k,l} (|phi_kl><phi_kl|)^{(x)m} (x) (I/d)^{(x)lone}
+    over the m pairs kept whole and the lone kept qudits.  Read a row as one
+    digit per kept qudit in canonical order; rho[r, c] = 1/d^(m+1+lone) when
+    r and c share one shift k = S_i - N_i (mod d) over every kept pair i and
+    agree on sum_i N_i mod d and on every lone digit, and 0 otherwise, so the
+    entries are exact.  For m = 0 it is I/d^size.  Raises CapacityError when
+    the kept side d^size exceeds ``REDUCED_SIDE_LIMIT``.
     """
     require_dim(d)
     if subset.n != n:
@@ -200,19 +196,20 @@ def missing_pair_subset_reduced(d: int, n: int, subset: RegisterSubset) -> Reduc
     if subset.touches_all_pairs:
         raise ValueError(f"subset {subset} touches every pair; no pair is missing")
     kept = subset.kept_labels()
-    require_capacity("kept side d^size", d ** len(kept), REDUCED_SIDE_LIMIT)
-    # (X^k Z^l (x) I)|phi> lists the entries of X^k Z^l row by row, over sqrt(d)
-    bell = np.array(
-        [PauliWord(d, a=k, b=l).matrix().reshape(-1) for k in range(d) for l in range(d)]
-    ) / np.sqrt(d)
-    vecs = np.ones((d * d, 1), dtype=complex)
-    for _ in subset.full_pairs:
-        vecs = (vecs[:, :, None] * bell[:, None, :]).reshape(d * d, -1)
-    pairwise = [lab for i in subset.full_pairs for lab in (f"S{i}", f"N{i}")]
-    lone = [lab for lab in kept if lab not in pairwise]
-    lone_side = d ** len(lone)
-    matrix = np.kron(vecs.T @ vecs.conj() / (d * d), np.eye(lone_side) / lone_side)
-    order = pairwise + lone
-    perm = [order.index(lab) for lab in kept]
-    matrix = permute_subsystems(matrix, (d,) * len(kept), perm)
+    side = d ** len(kept)
+    require_capacity("kept side d^size", side, REDUCED_SIDE_LIMIT)
+    pairs = subset.full_pairs
+    if not pairs:
+        return ReducedState(d=d, labels=kept, matrix=np.eye(side, dtype=complex) / side)
+    # row r's digits, the first kept qudit's most significant
+    digits = np.arange(side)[:, None] // d ** np.arange(len(kept) - 1, -1, -1) % d
+    noise = digits[:, [kept.index(f"N{i}") for i in pairs]]
+    shift = (digits[:, [kept.index(f"S{i}") for i in pairs]] - noise) % d
+    rows = (shift == shift[:, :1]).all(axis=1).nonzero()[0]
+    key = shift[rows, 0] * d + noise[rows].sum(axis=1) % d
+    lone = [t for t, lab in enumerate(kept) if int(lab[1:]) not in pairs]
+    for t in lone:
+        key = key * d + digits[rows, t]
+    matrix = np.zeros((side, side), dtype=complex)
+    matrix[np.ix_(rows, rows)] = (key[:, None] == key) / d ** (len(pairs) + 1 + len(lone))
     return ReducedState(d=d, labels=kept, matrix=matrix)

@@ -81,18 +81,24 @@ def classify_subset(d: int, subset: RegisterSubset) -> Classification:
     return Classification(verdict, False, not leak, p=p, q=sols.q, g=sols.g, leak=leak)
 
 
-def analytic_reduced(d: int, subset: RegisterSubset, psi: PureState) -> ReducedState | None:
+def analytic_reduced(
+    d: int, subset: RegisterSubset, psi: PureState | Sequence[PureState]
+) -> ReducedState | list[ReducedState] | None:
     """The closed form of ``psi``'s reduced state; None for authorized subsets.
 
-    Missing-pair subsets ignore ``psi``: their state is input-free.
+    A list or tuple of states gives a list with one state per input.  A
+    missing-pair state is input-free, so that list repeats one state.
     """
     require_dim(d)
-    require_state(psi, d)
+    states = list(psi) if isinstance(psi, Sequence) else [psi]
+    for state in states:
+        require_state(state, d)
     if is_authorized(subset):
         return None
-    if not subset.touches_all_pairs:
-        return missing_pair_subset_reduced(d, subset.n, subset)
-    return aligned_reduced(d, subset, psi)
+    if subset.touches_all_pairs:
+        return aligned_reduced(d, subset, psi)
+    closed = missing_pair_subset_reduced(d, subset.n, subset)
+    return [closed] * len(states) if isinstance(psi, Sequence) else closed
 
 
 def _matrix(state: ReducedState | np.ndarray) -> np.ndarray:
@@ -421,8 +427,8 @@ def evaluate_subset(
     the CapacityError that stopped the shape from being encoded; such a row,
     and one whose oracle reduced states are too large, is skipped and its
     note gives the reason.  All registers are reduced in one
-    ``reduce_support`` call, and all aligned closed forms in one
-    ``aligned_reduced`` call.  ``tol`` and ``witness`` come from ``config``.
+    ``reduce_support`` call, and all closed forms in one
+    ``analytic_reduced`` call.  ``tol`` and ``witness`` come from ``config``.
     A distance at or below ``tol`` may be reported as a certified upper
     bound (see ``_max_distance``); its ``*_bound`` field says so.  Every
     bound of the row is summed over one joint support, the entries where an
@@ -463,14 +469,9 @@ def evaluate_subset(
             agree=True,
             note=f"capacity: {exc}",
         )
-    closed: list[ReducedState] = []
-    if not cls.authorized:
-        # no CapacityError here: each closed form guards the same side d^size
-        # against the REDUCED_SIDE_LIMIT that reduce_support has just passed
-        if cls.p is not None:
-            closed = aligned_reduced(d, subset, states)
-        else:  # input-free: one closed form serves every sample
-            closed = [missing_pair_subset_reduced(d, subset.n, subset)] * len(reduced)
+    # no CapacityError here: each closed form guards the same side d^size
+    # against the REDUCED_SIDE_LIMIT that reduce_support has just passed
+    closed = analytic_reduced(d, subset, states) or []
     uninformative = cls.verdict == COMPLETELY_UNINFORMATIVE
     mixed = [maximally_mixed(d, subset.size)] if uninformative else []
     # an entry that is zero in every compared state is zero in every difference

@@ -521,7 +521,7 @@ def reduce_support(
     if (keys[1:] == keys[:-1]).any():
         raise ValueError("flat indices must be distinct")
     single = batch.ndim == 1
-    batch = np.ascontiguousarray(batch.reshape(-1, len(index)))
+    batch = np.ascontiguousarray(np.atleast_2d(batch))
     nonzero = (batch != 0)[:, order]
     patterns: dict[bytes, list[int]] = {}
     for reg, bits in enumerate(np.packbits(nonzero, axis=1)):

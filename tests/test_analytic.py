@@ -352,7 +352,7 @@ def test_missing_pair_reduced_validation():
 
 def test_missing_pair_subset_reduced_matches_oracle():
     # (2, 4) adds two complete pairs next to lone qudits
-    shapes = [(d, n) for d in (2, 3) for n in (1, 2, 3)] + [(2, 4)]
+    shapes = [(d, n) for d in (2, 3, 4) for n in (1, 2, 3)] + [(2, 4)]
     cases = [
         (d, n, RegisterSubset(members))
         for d, n in shapes
@@ -360,14 +360,37 @@ def test_missing_pair_subset_reduced_matches_oracle():
         if NONE in members and set(members) != {NONE}
     ]
     # two complete pairs at (5, 4): a kept side of 5^4, while the mixture
-    # over all surviving pairs would have side 5^6
+    # over all surviving pairs would have side 5^6; and at (6, 3), beyond
+    # the shapes whose every subset is listed
     cases.append((5, 4, RegisterSubset.from_labels("S1,N1,S2,N2", 4)))
+    cases.append((6, 3, RegisterSubset.from_labels("S1,N1,S2,N2", 3)))
     for d, n, sub in cases:
         closed = missing_pair_subset_reduced(d, n, sub)
         for psi in random_states(d, 2, seed=sub.size + d):
             truth = oracle_reduced(psi, d, n, sub)
             assert closed.labels == truth.labels
             assert trace_distance(closed, truth) < 1e-10
+
+
+def test_missing_pair_subset_entries_are_exact():
+    # every nonzero entry is 1/d^(m+1+lone) exactly (1/d^size when m = 0),
+    # and the matrix is real and exactly symmetric; m runs 0..3
+    cases = [
+        (d, n, RegisterSubset(members))
+        for d in (2, 3)
+        for n in (1, 2, 3, 4)
+        for members in itertools.product(MEMBERSHIPS, repeat=n)
+        if NONE in members and set(members) != {NONE}
+    ]
+    assert {len(sub.full_pairs) for _, _, sub in cases} == {0, 1, 2, 3}
+    for d, n, sub in cases:
+        m = len(sub.full_pairs)
+        lone = sub.size - 2 * m
+        rho = missing_pair_subset_reduced(d, n, sub).matrix
+        value = 1 / d ** (m + 1 + lone) if m else 1 / d**sub.size
+        assert (rho[rho != 0] == value).all(), sub
+        assert (rho.imag == 0).all() and (rho == rho.T).all(), sub
+        assert rho.trace() == pytest.approx(1, abs=1e-12)
 
 
 def test_missing_pair_subset_one_full_pair_is_maximally_mixed():

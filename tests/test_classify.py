@@ -146,6 +146,15 @@ def test_analytic_reduced_dispatch():
     gap = analytic_reduced(3, sub("S1,N1", 2), psi)
     direct = missing_pair_subset_reduced(3, 2, sub("S1,N1", 2))
     assert_allclose(gap.matrix, direct.matrix, atol=1e-14)
+    # a sequence gives one state per input, each as its input gives alone
+    batch = random_states(3, 3, seed=2)
+    assert analytic_reduced(3, sub("S1,N1", 1), batch) is None
+    alis = analytic_reduced(3, sub("S1,N2", 2), batch)
+    assert [s.matrix.tolist() for s in alis] == [
+        analytic_reduced(3, sub("S1,N2", 2), psi).matrix.tolist() for psi in batch
+    ]
+    gaps = analytic_reduced(3, sub("S1,N1", 2), batch)
+    assert len(gaps) == 3 and all((s.matrix == gap.matrix).all() for s in gaps)
     with pytest.raises(TypeError):
         analytic_reduced(3, sub("S1,N2", 2))  # the input state is required
     for labels in ("S1,N1", "S1,N2", "S1,N1,S2"):  # every branch checks the state
@@ -344,14 +353,18 @@ def test_run_sweep_aligned_grid_agrees():
 
 
 def test_run_sweep_all_family_agrees(monkeypatch):
-    # each row takes its closed form from its classification, not the dispatcher
-    def unused(*args):
-        raise AssertionError("a sweep row called analytic_reduced")
+    # each row asks the dispatcher once, for all its samples at once
+    inner, calls = classify.analytic_reduced, []
 
-    monkeypatch.setattr(classify, "analytic_reduced", unused)
+    def counted(d, subset, psi):
+        calls.append(len(psi))
+        return inner(d, subset, psi)
+
+    monkeypatch.setattr(classify, "analytic_reduced", counted)
     config = SweepConfig(dims=(2,), ns=(2,), family="all", samples=5, seed=4)
     report = run_sweep(config)
     assert len(report.rows) == 15
+    assert calls == [5] * 15
     assert report.all_agree
     verdicts = {row.verdict for row in report.rows}
     assert FULLY_INFORMATIVE in verdicts

@@ -531,6 +531,19 @@ def test_reduce_support_validation():
     assert np.array_equal(small.matrix, reduce_support(index, values, 2, 1, sub).matrix)
 
 
+def test_an_empty_support_reduces_to_zero_states():
+    # these once failed in numpy's reshape instead of returning zeros
+    sub = RegisterSubset.from_labels("S1,N2", 2)
+    empty = np.array([], dtype=int)
+    batch = reduce_support(empty, np.zeros((2, 0)), 3, 2, sub)
+    single = reduce_support(empty, np.zeros(0), 3, 2, sub)
+    dense = reduce_encoded(np.zeros(3**5), 3, 2, sub)
+    assert len(batch) == 2
+    for rho in (*batch, single, dense):
+        assert rho.labels == ("S1", "N2")
+        assert np.array_equal(rho.matrix, np.zeros((9, 9)))
+
+
 def test_oracle_reduced_never_forms_the_register():
     # at (2, 11) the dense register is 2^23 amplitudes, 134 MB, while its
     # support holds 2^13 of them
