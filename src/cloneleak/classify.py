@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import LeakTerm, aligned_reduced, leaked_words, missing_pair_subset_reduced
-from .modnum import require_dim, solve_aligned_system
+from .modnum import require_dim, require_int, solve_aligned_system
 from .pauli import PureState, random_states, require_state
 from .protocol import (
     BOTH,
@@ -199,9 +199,7 @@ class SweepConfig:
         if self.subsets and self.family != "named":
             raise ValueError(f"subsets apply only to family 'named', not {self.family!r}")
         for name in ("samples", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+            require_int(getattr(self, name), name)
         if self.samples < 2:
             raise ValueError("need at least two samples to witness input dependence")
         if self.seed < 0:

@@ -20,10 +20,15 @@ import math
 from dataclasses import dataclass
 
 
+def require_int(value: object, what: str) -> None:
+    """Reject anything but an int; a bool is not one, though Python says it is."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+
+
 def require_dim(d: int) -> None:
     """Reject local dimensions below 2."""
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise TypeError(f"qudit dimension must be an int, got {type(d).__name__}")
+    require_int(d, "qudit dimension")
     if d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {d}")
 
@@ -48,9 +53,8 @@ def satisfies_system(d: int, p: int, q: int, a: int, b: int) -> bool:
 
 def _require_shape(p: int, q: int) -> None:
     """Reject signal/noise counts that are not ints, negative, or both zero."""
-    for name, count in (("p", p), ("q", q)):
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise TypeError(f"{name} must be an int, got {type(count).__name__}")
+    require_int(p, "p")
+    require_int(q, "q")
     if p < 0 or q < 0:
         raise ValueError(f"signal/noise counts must be nonnegative, got p={p}, q={q}")
     if p + q < 1:

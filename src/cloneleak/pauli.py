@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modnum import delta, require_dim
+from .modnum import delta, require_dim, require_int
 
 
 def phase_value(d: int, r: int) -> complex:
@@ -110,8 +110,7 @@ class PureState:
     @classmethod
     def basis(cls, d: int, k: int) -> "PureState":
         """The computational basis state |k mod d>."""
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise TypeError(f"basis index must be an int, got {type(k).__name__}")
+        require_int(k, "basis index")
         amps = np.zeros(d, dtype=complex)
         amps[k % d] = 1.0
         return cls(d, amps)
@@ -139,8 +138,7 @@ def random_states(d: int, count: int, seed: int) -> list[PureState]:
     """Deterministic batch of Haar-random states from one seeded generator."""
     require_dim(d)
     for name, value in (("count", count), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        require_int(value, name)
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
     rng = np.random.default_rng(seed)

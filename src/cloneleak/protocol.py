@@ -42,13 +42,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .modnum import require_dim
+from .modnum import require_dim, require_int
 from .pauli import PauliWord, PureState, enc_coefficient_value, require_state
 
-# Dense-object size guards.  The encoder is a d^(n+1) square matrix; the
-# encoded register is a d^(2n+1) statevector; a reduced state is a square
-# matrix whose side is d to the number of kept qudits.  Exceeding any of
-# them raises CapacityError instead of silently allocating gigabytes.
+# Size guards; exceeding one raises CapacityError instead of silently
+# allocating gigabytes.  ENCODER_DIM_LIMIT bounds the side of the d^(n+1)
+# square encoder, and REDUCED_SIDE_LIMIT the side of a reduced state, d to
+# the number of kept qudits: both are allocated.  STATE_AMPLITUDE_LIMIT
+# bounds the d^(2n+1) register that encode writes and whose flat indices
+# encode_support addresses, though encode_support builds only d^(n+2)
+# amplitudes per state, and the d^4 pair table of the encoder tables.
 ENCODER_DIM_LIMIT = 4096
 STATE_AMPLITUDE_LIMIT = 10_000_000
 REDUCED_SIDE_LIMIT = 4096
@@ -80,8 +83,7 @@ def require_capacity(what: str, size: int, limit: int) -> None:
 
 def require_pairs(n: int) -> None:
     """Reject pair counts below 1."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"pair count must be an int, got {type(n).__name__}")
+    require_int(n, "pair count")
     if n < 1:
         raise ValueError(f"need at least one signal/noise pair, got n={n}")
 
@@ -138,8 +140,7 @@ class RegisterSubset:
     def aligned(cls, n: int, p: int) -> "RegisterSubset":
         """Canonical aligned subset: signals on pairs 1..p, noises after."""
         require_pairs(n)
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise TypeError(f"signal count must be an int, got {type(p).__name__}")
+        require_int(p, "signal count")
         if not 0 <= p <= n:
             raise ValueError(f"signal count {p} outside 0..{n}")
         return cls(tuple([SIGNAL] * p + [NOISE] * (n - p)))

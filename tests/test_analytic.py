@@ -10,6 +10,7 @@ from cloneleak.analytic import (
     LeakTerm,
     aligned_coefficient_exponent,
     aligned_reduced,
+    _digits,
     leaked_words,
     missing_pair_reduced,
     missing_pair_subset_reduced,
@@ -133,7 +134,7 @@ def test_leaked_words_empty_iff_g_one():
 
 
 def test_aligned_reduced_matches_oracle():
-    grid = [(d, n) for d in (2, 3, 4, 5) for n in (1, 2)] + [(2, 3), (3, 3)]
+    grid = [(d, n) for d in (2, 3, 4, 5, 6, 7, 8) for n in (1, 2)] + [(2, 3), (3, 3), (6, 3)]
     for d, n in grid:
         states = random_states(d, 2, seed=d * 7 + n)
         for p in range(n + 1):
@@ -414,6 +415,16 @@ def test_missing_pair_subset_requires_a_missing_pair():
         missing_pair_subset_reduced(2, 2, RegisterSubset.from_labels("S1", 1))
 
 
+def test_digit_table_is_shared_and_read_only():
+    # both closed forms index through one cached table per (d, count)
+    digits = _digits(3, 2)
+    assert _digits(3, 2) is digits
+    assert digits.tolist() == [[r // 3, r % 3] for r in range(9)]
+    assert not digits.flags.writeable
+    with pytest.raises(ValueError):
+        digits[0, 0] = 1
+
+
 def test_capacity_errors_carry_what_size_and_limit():
     # every dense-object guard names its object, the size asked for and the limit
     psi10 = PureState.basis(10, 0)
@@ -423,7 +434,7 @@ def test_capacity_errors_carry_what_size_and_limit():
     guards = [
         (lambda: build_encoder(10, 3), "encoder side d^(n+1)", 10**4, ENCODER_DIM_LIMIT),
         (lambda: encode(psi10, 10, 4), "register size d^(2n+1)", 10**9, STATE_AMPLITUDE_LIMIT),
-        (lambda: aligned_reduced(5, RegisterSubset.aligned(6, 1), psi5), "reduced side d^n", 5**6,
+        (lambda: aligned_reduced(5, RegisterSubset.aligned(6, 1), psi5), "kept side d^size", 5**6,
          REDUCED_SIDE_LIMIT),
         (lambda: missing_pair_reduced(5, 4, 1), "kept side d^size", 5**6, REDUCED_SIDE_LIMIT),
         (lambda: reduce_encoded(vec2, 2, 7, kept13), "kept side d^size", 2**13,
