@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .modnum import CongruenceSolutionSet, delta, require_dim, require_int, solve_aligned_system
-from .pauli import PauliWord, PureState, expectation, phase_value, require_state
+from .pauli import PauliWord, PureState, expectation, require_state
 from .protocol import (
     BOTH,
     NONE,
@@ -64,17 +64,9 @@ class LeakTerm:
     b: int
     phase_exponent: int
 
-    @property
-    def coefficient(self) -> complex:
-        return phase_value(self.d, self.phase_exponent)
-
     def signal_word(self) -> PauliWord:
         """Factor applied to each kept signal qudit."""
         return PauliWord(self.d, a=self.a, b=self.b)
-
-    def noise_word(self) -> PauliWord:
-        """Factor applied to each kept noise qudit."""
-        return PauliWord(self.d, a=-self.a, b=self.b)
 
     def to_dict(self) -> dict[str, int]:
         return {"a": self.a, "b": self.b, "phase_exponent": self.phase_exponent}

@@ -21,7 +21,8 @@ states the other way around, which is what makes the cross-check
 meaningful.  It multiplies only amplitudes that share a traced index:
 traced indices whose columns hold the same kept rows form one block of the
 reduced state, and each block is the Gram of its columns, taken for all
-blocks of a shape in one batched matmul.  It drops the exact zeros itself,
+blocks of a shape in one batched complex matmul and added into the state
+by one scatter, exactly Hermitian.  It drops the exact zeros itself,
 so it learns nothing from the encoder but where the entries sit.
 :func:`oracle_reduced` and the sweep hand the encoder's support straight to
 the reduction, so no d^(2n+1) register is allocated on the oracle path.
@@ -486,25 +487,28 @@ def reduce_support(
     distinct pattern in the batch: the entries are sorted by column, then
     by row, and the columns holding the same tuple of rows form a group,
     whose c x c block of rho is the Gram of its K columns.  The groups of
-    one (c, K) shape are gathered into one (registers, groups, 2K, c) array
-    W = [Re; Im] per group, and two batched real matmuls give every block:
-    its real part is (G + G^T)/2 with G = W^T W, its imaginary part is
-    P - P^T with P = Im^T Re.  The blocks are added into rho at their rows.
-    An aligned subset of an encoded register has one shape, c = d, with
+    one (c, K) shape are gathered into one complex (registers, groups, K, c)
+    array W, the slices of the factor m, and one batched complex matmul
+    gives every block, W^T conj(W).  Its Hermitian part is taken in place,
+    real part plus its transpose and imaginary part minus its transpose,
+    halved, and one scatter adds the blocks into rho at their rows.  An
+    aligned subset of an encoded register has one shape, c = d, with
     disjoint row-sets; a dense register is one group, a dense Gram; an
     irregular vector has many groups, whose overlapping blocks add up.
-    Every block is exactly Hermitian (a + b = b + a and a - b = -(b - a)
-    in floating point), and entries (i, j) and (j, i) of rho receive their
-    adds in the same order, so rho is exactly Hermitian.  A register's
-    blocks depend only on its own nonzero entries, so a batch row is
-    bit-identical to a call of its own and to reducing the dense register,
-    whatever exact zeros or other indices ``index`` carries.  Beside its
-    output the call holds O(samples x len(index)) sort, gather and matmul
-    arrays, and per block shape the blocks and their target indices:
-    samples x sum_g c_g^2 numbers: at most side^2 per register when the
-    row-sets are disjoint, and at most sum_t c_t^2, one per product of two
-    entries of a column, when they overlap.  Raises CapacityError when the
-    kept side d^size exceeds ``REDUCED_SIDE_LIMIT``.
+    Every block is exactly Hermitian, since a + b = b + a and
+    a - b = -(b - a) in floating point and numpy reads an operand that
+    overlaps its output as if it had been copied, and entries (i, j) and
+    (j, i) of rho receive their adds in the same order, so rho is exactly
+    Hermitian.  A register's blocks depend only on its own nonzero entries,
+    so a batch row is bit-identical to a call of its own and to reducing
+    the dense register, whatever exact zeros or other indices ``index``
+    carries.  Beside its output the call holds O(samples x len(index))
+    sort and plan arrays, W and its conjugate, and per block shape the
+    blocks and their target indices: samples x sum_g c_g^2 numbers: at most
+    side^2 per register when the row-sets are disjoint, and at most
+    sum_t c_t^2, one per product of two entries of a column, when they
+    overlap.  Raises CapacityError when the kept side d^size exceeds
+    ``REDUCED_SIDE_LIMIT``.
     """
     side = _kept_side(d, n, subset)
     size = 2 * n + 1
@@ -522,32 +526,27 @@ def reduce_support(
     if (keys[1:] == keys[:-1]).any():
         raise ValueError("flat indices must be distinct")
     single = batch.ndim == 1
-    batch = np.ascontiguousarray(np.atleast_2d(batch))
+    batch = np.atleast_2d(batch)
     nonzero = (batch != 0)[:, order]
     patterns: dict[bytes, list[int]] = {}
     for reg, bits in enumerate(np.packbits(nonzero, axis=1)):
         patterns.setdefault(bits.tobytes(), []).append(reg)
-    floats = batch.view(float)  # entry j's real part at 2j, its imaginary part at 2j + 1
     out = np.zeros((len(batch), side, side), dtype=complex)
-    real, imag = out.reshape(-1).real, out.reshape(-1).imag
+    flat = out.reshape(-1)
     for regs in patterns.values():
         mine = nonzero[regs[0]].nonzero()[0]
-        source = floats if len(patterns) == 1 else floats[regs]
-        real_at = 2 * order[mine]
+        source = batch if len(patterns) == 1 else batch[regs]
+        at = order[mine]
         lead = np.array(regs)[:, None, None, None] * side
         for rowsets, entries in _gram_plan(keys[mine], side):
-            k = entries.shape[1]
-            at = real_at[entries]
-            w = source.take(np.concatenate((at, at + 1), axis=1), axis=1)  # W = [Re; Im]
-            target = ((lead + rowsets[:, :, None]) * side + rowsets[:, None, :]).ravel()
-            wt = np.ascontiguousarray(w.swapaxes(-1, -2))
-            gram = wt @ w
-            gram += gram.swapaxes(-1, -2)
+            w = source.take(at[entries], axis=1)  # (registers, groups, K, c)
+            gram = w.swapaxes(-1, -2) @ w.conj()
+            re, im = gram.real, gram.imag  # numpy copies an overlapping operand
+            re += re.swapaxes(-1, -2)
+            im -= im.swapaxes(-1, -2)
             gram *= 0.5
-            np.add.at(real, target, gram.ravel())
-            del gram  # a dense register's one block is side x side
-            p = wt[..., k:] @ w[..., :k, :]  # Im^T Re
-            np.add.at(imag, target, (p - p.swapaxes(-1, -2)).ravel())
+            target = ((lead + rowsets[:, :, None]) * side + rowsets[:, None, :]).ravel()
+            np.add.at(flat, target, gram.ravel())
     labels = subset.kept_labels()
     reduced = [ReducedState(d=d, labels=labels, matrix=m) for m in out]
     return reduced[0] if single else reduced

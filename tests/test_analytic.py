@@ -69,10 +69,10 @@ def test_coefficient_examples():
     # single kept pair of clones at even d: the extra word carries -1
     (term,) = leaked_words(solve_aligned_system(2, 1, 2))
     assert (term.a, term.b) == (1, 1)
-    assert_allclose(term.coefficient, -1, atol=1e-15)
+    assert_allclose(phase_value(term.d, term.phase_exponent), -1, atol=1e-15)
     (term,) = leaked_words(solve_aligned_system(4, 1, 2))
     assert (term.a, term.b) == (2, 2)
-    assert_allclose(term.coefficient, 1, atol=1e-15)
+    assert_allclose(phase_value(term.d, term.phase_exponent), 1, atol=1e-15)
 
 
 def test_coefficient_exponent_reduces_mod_2d():
@@ -95,7 +95,7 @@ def test_coefficients_against_oracle_extraction():
     for d, p, q in cases:
         gamma = {(0, 0): 1.0}
         for term in leaked_words(solve_aligned_system(d, p, q)):
-            gamma[(term.a, term.b)] = term.coefficient
+            gamma[(term.a, term.b)] = phase_value(term.d, term.phase_exponent)
         psi = random_states(d, 1, seed=100 * d + 10 * p + q)[0]
         sub = RegisterSubset.aligned(p + q, p)
         rho = oracle_reduced(psi, d, p + q, sub).matrix
@@ -114,9 +114,8 @@ def test_leaked_words_examples():
     assert leaked_words(solve_aligned_system(5, 1, 1)) == ()
     terms = leaked_words(solve_aligned_system(2, 1, 2))
     assert terms == (LeakTerm(d=2, a=1, b=1, phase_exponent=2),)
-    assert_allclose(terms[0].coefficient, -1, atol=1e-15)
+    assert_allclose(phase_value(terms[0].d, terms[0].phase_exponent), -1, atol=1e-15)
     assert terms[0].signal_word() == PauliWord(2, a=1, b=1)
-    assert terms[0].noise_word() == PauliWord(2, a=1, b=1)
     big = leaked_words(solve_aligned_system(9, 2, 1))
     assert [(t.a, t.b) for t in big] == [(3, 3), (6, 6)]
     assert big[0].to_dict() == {"a": 3, "b": 3, "phase_exponent": 12}

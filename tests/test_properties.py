@@ -153,7 +153,7 @@ def irregular_supports(draw):
     # registers over a random support of a small register: traced columns
     # hold mixed numbers of entries, on row-sets that partly overlap; each
     # register zeroes some entries exactly, and some share a nonzero pattern
-    d, n = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    d, n = draw(st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)]))
     members = draw(
         st.lists(st.sampled_from(MEMBERSHIPS), min_size=n, max_size=n).filter(
             lambda m: set(m) != {NONE}

@@ -513,6 +513,26 @@ def test_reduce_encoded_memory_stays_near_the_output_on_dense_input():
     assert abs(np.trace(rho.matrix) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("d,n", [(2, 6), (2, 7), (3, 4)])
+def test_reduce_encoded_memory_stays_near_the_register_when_one_qudit_is_kept(d, n):
+    # the other dense regime: a d x d output, and one block whose columns
+    # are the whole register, so what the call holds scales with the
+    # register: W, its conjugate and the plan's index arrays
+    rng = np.random.default_rng(d + n)
+    amps = d ** (2 * n + 1)
+    vec = rng.normal(size=amps) + 1j * rng.normal(size=amps)
+    vec /= np.linalg.norm(vec)
+    tracemalloc.start()
+    try:
+        rho = reduce_encoded(vec, d, n, RegisterSubset.from_labels("S1", n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho.dim == d
+    assert peak < 8 * vec.nbytes
+    assert abs(np.trace(rho.matrix) - 1) < 1e-12
+
+
 def test_reduce_support_validation():
     index, values = encode_support(PureState.basis(2, 0), 2, 1)
     sub = RegisterSubset.from_labels("S1", 1)
