@@ -130,6 +130,31 @@ def _components(pattern: np.ndarray) -> list[np.ndarray]:
     return [order[firsts[sizes == k, None] + np.arange(k)] for k in sorted(set(sizes.tolist()))]
 
 
+def _blocks(states: Sequence[ReducedState | np.ndarray]) -> list[np.ndarray]:
+    """Each state's blocks over the components of the states' joint nonzero pattern.
+
+    One (states, count, k, k) stack per component size k.  Every state, and
+    so every difference of two, is zero off the blocks.  The pattern is read
+    from exact zeros, so no tolerance decides it, and it holds every NaN.
+    """
+    matrices = [_matrix(state) for state in states]
+    pattern = matrices[0] != 0
+    for matrix in matrices[1:]:
+        pattern |= matrix != 0
+    pattern |= pattern.T
+    blocks = [(idx[:, :, None], idx[:, None, :]) for idx in _components(pattern)]
+    return [np.array([matrix[rows, cols] for matrix in matrices]) for rows, cols in blocks]
+
+
+def _block_distance(blocks: Sequence[np.ndarray]) -> float:
+    """Trace distance of a difference that is zero off ``blocks``: one eigvalsh per size."""
+    total = 0.0
+    for block in blocks:
+        herm = 0.5 * (block + block.conj().swapaxes(-1, -2))
+        total += float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
+    return 0.5 * total
+
+
 def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.ndarray) -> float:
     """Half the absolute eigenvalue sum of the difference's Hermitian part.
 
@@ -138,15 +163,11 @@ def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.n
     Frobenius norm exceeds its own.  The Hermitian part (X + X^H)/2 has norm
     at most ||X||_F, which keeps T <= sqrt(side)/2 * ||X||_F true.
 
-    The difference X is split into the connected components of its exact
-    nonzero pattern, made symmetric, and ``eigvalsh`` runs once per
-    component size on the stacked Hermitian parts of its blocks.  The
-    Hermitian part is zero between components, so permuting it to them is
-    a similarity that keeps its spectrum; the split is read from exact
-    zeros, so no tolerance decides it.  A pattern with one component is the
-    dense case, whose one block is the Hermitian part itself.  Two
-    ReducedStates must share ``d`` and ``labels``; raw arrays need only the
-    same shape.
+    This is the sweep's kernel on one pair, over the blocks of the
+    difference X's own nonzero pattern: the Hermitian part is zero between
+    them, so permuting it to them keeps its spectrum.  A dense X is one
+    block, the Hermitian part itself.  Inputs must be square and of one
+    shape; two ReducedStates must also share ``d`` and ``labels``.
     """
     if isinstance(first, ReducedState) and isinstance(second, ReducedState):
         if (first.d, first.labels) != (second.d, second.labels):
@@ -155,17 +176,12 @@ def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.n
                 f"vs d={second.d} {list(second.labels)}"
             )
     a, b = _matrix(first), _matrix(second)
+    for matrix in (a, b):
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"not a square matrix: shape {matrix.shape}")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    x = a - b
-    pattern = x != 0
-    pattern |= pattern.T
-    total = 0.0
-    for idx in _components(pattern):
-        block = x[idx[:, :, None], idx[:, None, :]]
-        herm = 0.5 * (block + block.conj().swapaxes(1, 2))
-        total += float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
-    return 0.5 * total
+    return _block_distance([stack[0] for stack in _blocks([a - b])])
 
 
 def maximally_mixed(d: int, num_qudits: int) -> np.ndarray:
@@ -345,10 +361,9 @@ def _subsets_for(config: SweepConfig, n: int) -> list[RegisterSubset]:
     return [RegisterSubset.from_labels(labels, n) for labels in config.subsets]
 
 
-# Relative widening of every Frobenius bound.  ``trace_distance`` splits a
-# difference into blocks of the components of its nonzero pattern, so each
-# eigenvalue lies within about s * eps * ||X_b||_2 of the true one, with s
-# the side of its block X_b.  Summed over the blocks, and since
+# Relative widening of every Frobenius bound.  Each exact distance is taken
+# over blocks X_b of side s_b, so each eigenvalue lies within about
+# s_b * eps * ||X_b||_2 of the true one.  Summed over the blocks, and since
 # sum_b sqrt(s_b) ||X_b||_F <= sqrt(side) ||X||_F, the computed trace
 # distance exceeds the true one by at most about s_max^1.5 * eps times the
 # bound sqrt(side)/2 * ||X||_F: 6e-11 when one block fills
@@ -359,55 +374,47 @@ def _subsets_for(config: SweepConfig, n: int) -> list[RegisterSubset]:
 _SCAN_SLACK = 1e-9
 
 
-def _joint_support(states: Sequence[ReducedState | np.ndarray]) -> np.ndarray:
-    """Flat indices at which any of the equally shaped ``states`` is nonzero."""
-    mask = _matrix(states[0]) != 0
-    for state in states[1:]:
-        mask |= _matrix(state) != 0
-    return np.flatnonzero(mask)
+def _bounds(stacks: Sequence[np.ndarray], first, second, side: int) -> np.ndarray:
+    """Widened bound sqrt(side)/2 * ||X||_F * (1 + _SCAN_SLACK) per difference X.
 
-
-def _gather(states: Sequence[ReducedState | np.ndarray], support: np.ndarray) -> np.ndarray:
-    """One row per state: its entries at the flat indices ``support``."""
-    return np.array([np.take(_matrix(state), support) for state in states])
-
-
-def _bounds(diffs: np.ndarray, side: int) -> np.ndarray:
-    """Widened bound sqrt(side)/2 * ||X||_F * (1 + _SCAN_SLACK) per row X of ``diffs``.
-
-    A row may omit entries that are zero in X: they add nothing to its norm.
-    Each norm must be taken of the difference itself: through a Gram matrix,
-    ||a||^2 + ||b||^2 - 2 Re<a, b> cancels to about 1e-9 for differences
-    near 1e-16, which decides nothing.
+    X is state ``first`` minus state ``second`` of ``stacks``, one of them
+    a slice of states, and is zero off its blocks.  Each norm is taken of X
+    itself: through a Gram matrix, ||a||^2 + ||b||^2 - 2 Re<a, b> cancels
+    to about 1e-9 for differences near 1e-16, which decides nothing.
     """
-    return 0.5 * math.sqrt(side) * np.linalg.norm(diffs, axis=-1) * (1 + _SCAN_SLACK)
+    diffs = [stack[first] - stack[second] for stack in stacks]
+    rows = np.concatenate([diff.reshape(len(diff), -1) for diff in diffs], axis=1)
+    return 0.5 * math.sqrt(side) * np.linalg.norm(rows, axis=-1) * (1 + _SCAN_SLACK)
 
 
 def _max_distance(
-    pairs: Sequence[tuple[ReducedState | np.ndarray, ReducedState | np.ndarray]],
-    bounds: np.ndarray,
-    tol: float,
-    witness: float,
+    pairs: Sequence[tuple[int, int]], bounds: np.ndarray, stacks: Sequence[np.ndarray],
+    tol: float, witness: float,
 ) -> tuple[float, bool]:
     """Largest trace distance over ``pairs``, or a certified bound on it.
 
-    ``bounds[i]`` is the widened bound ``_bounds`` gives for pair i: every
-    difference X obeys T(X) <= sqrt(side)/2 * ||X||_F.  When the bound is
-    <= tol and < witness for every pair, each gate reads the same on the
-    largest bound as on the exact maximum, so the bound is returned with
+    Pair k is state i minus state j of ``stacks`` for (i, j) = pairs[k], and
+    ``bounds[k]`` is its ``_bounds``: T(X) <= sqrt(side)/2 * ||X||_F.  When
+    every bound is <= tol and < witness, each gate reads the same on the
+    largest bound as on the exact maximum, so that bound is returned with
     True.  Otherwise the exact maximum is returned with False: pairs are
-    diagonalized by ``trace_distance`` in descending order of bound until no
-    bound left reaches the largest distance found, since no skipped pair can
-    then exceed it.
+    diagonalized in descending order of bound until no bound left reaches
+    the largest distance found, since no skipped pair can then exceed it.
+    A bound that is not finite comes from a non-finite entry, as no entry
+    of a state exceeds 1: the maximum is NaN, which fails every gate, and
+    no block reaches ``eigvalsh``.
     """
     top = float(np.max(bounds, initial=0.0))
+    if not math.isfinite(top):
+        return math.nan, False
     if top <= tol and top < witness:
         return top, True
     best = 0.0
-    for i in np.argsort(-bounds, kind="stable"):  # ties keep the order of pairs
-        if bounds[i] < best:
+    for k in np.argsort(-bounds, kind="stable"):  # ties keep the order of pairs
+        if bounds[k] < best:
             break
-        best = max(best, trace_distance(*pairs[i]))
+        i, j = pairs[k]
+        best = max(best, _block_distance([stack[i] - stack[j] for stack in stacks]))
     return best, False
 
 
@@ -428,10 +435,10 @@ def evaluate_subset(
     ``reduce_support`` call, and all closed forms in one
     ``analytic_reduced`` call.  ``tol`` and ``witness`` come from ``config``.
     A distance at or below ``tol`` may be reported as a certified upper
-    bound (see ``_max_distance``); its ``*_bound`` field says so.  Every
-    bound of the row is summed over one joint support, the entries where an
-    oracle state, a closed form or the maximally mixed state is nonzero, so
-    each state is gathered there once and no dense difference is formed.
+    bound (see ``_max_distance``); its ``*_bound`` field says so.  One
+    ``_blocks`` call gathers every compared state's blocks; each pair's bound
+    is the norm of its block difference, and its exact distance is eigvalsh
+    on the same blocks.  A NaN distance fails its gate and gets a note.
     """
     tol, witness = config.tol, config.witness
     cls = classify_subset(d, subset)
@@ -472,47 +479,36 @@ def evaluate_subset(
     closed = analytic_reduced(d, subset, states) or []
     uninformative = cls.verdict == COMPLETELY_UNINFORMATIVE
     mixed = [maximally_mixed(d, subset.size)] if uninformative else []
-    # an entry that is zero in every compared state is zero in every difference
-    side = reduced[0].dim
-    joint = _joint_support([*reduced, *closed, *mixed])
-    oracle = _gather(reduced, joint)
-    # pairs in the order of combinations, one state's later partners at a
-    # time: no more than samples - 1 differences are held at once
-    oracle_bounds = [_bounds(oracle[i + 1 :] - oracle[i], side) for i in range(len(oracle))]
-    oracle_max, oracle_bound = _max_distance(
-        list(itertools.combinations(reduced, 2)),
-        np.concatenate(oracle_bounds),
-        tol,
-        witness,
-    )
+    side, count = reduced[0].dim, len(reduced)
+    # states 0..count-1 are the oracle's, then the closed forms, then the mixed one
+    stacks = _blocks([*reduced, *closed, *mixed])
+    # one state's later partners at a time: at most samples - 1 differences are held
+    pairs = list(itertools.combinations(range(count), 2))
+    bounds = [_bounds(stacks, i, slice(i + 1, count), side) for i in range(count - 1)]
+    oracle_max, oracle_bound = _max_distance(pairs, np.concatenate(bounds), stacks, tol, witness)
 
     analytic_dist: float | None = None
     analytic_bound: bool | None = None
     if closed:
-        analytic_dist, analytic_bound = _max_distance(
-            list(zip(closed, reduced)),
-            _bounds(_gather(closed, joint) - oracle, side),
-            tol,
-            witness,
-        )
+        pairs = [(count + i, i) for i in range(count)]
+        bounds = _bounds(stacks, slice(count, 2 * count), slice(count), side)
+        analytic_dist, analytic_bound = _max_distance(pairs, bounds, stacks, tol, witness)
 
     notes: list[str] = []  # each is a disagreement; the row agrees when none is found
-    if analytic_dist is not None and analytic_dist > tol:
+    # every gate is written so that a NaN distance reads as a disagreement
+    if analytic_dist is not None and not analytic_dist <= tol:
         notes.append("closed form disagrees with oracle")
     if uninformative:
         if not oracle_max <= tol:
             notes.append("verdict says input-independent, oracle disagrees")
-        mixed_dist, _ = _max_distance(
-            [(rho, mixed[0]) for rho in reduced],
-            _bounds(oracle - _gather(mixed, joint), side),
-            tol,
-            witness,
-        )
-        if cls.maximally_mixed and mixed_dist > tol:
+        pairs = [(i, 2 * count) for i in range(count)]
+        bounds = _bounds(stacks, slice(count), 2 * count, side)
+        mixed_dist, _ = _max_distance(pairs, bounds, stacks, tol, witness)
+        if cls.maximally_mixed and not mixed_dist <= tol:
             notes.append("flagged maximally mixed, oracle disagrees")
-        if not cls.maximally_mixed and mixed_dist < witness:
+        if not cls.maximally_mixed and not mixed_dist >= witness:
             notes.append("flagged non-mixed, oracle looks maximally mixed")
-    elif oracle_max < witness:
+    elif not oracle_max >= witness:
         notes.append("verdict says input-dependent, oracle looks independent")
     return SweepRow(
         **common,

@@ -6,7 +6,7 @@ largest pairwise trace distance of oracle states, one ``trace_distance``
 per pair, with no bound in between.  ``bell_state`` is the pair state the
 encoder prepares, written out as a vector for the dense reference routes.
 ``scan_pairs`` runs the sweep's bound-ordered scan on any list of pairs,
-with their bounds taken the way a sweep row takes them.
+with their blocks, bounds and distances taken the way a sweep row takes them.
 """
 
 import itertools
@@ -68,9 +68,16 @@ def numeric_independence_test(
 
 
 def scan_pairs(pairs, tol: float, witness: float) -> tuple[float, bool]:
-    """``classify._max_distance`` over ``pairs``, bounded over their joint support."""
-    firsts, seconds = zip(*pairs)
-    joint = classify._joint_support([*firsts, *seconds])
-    diffs = classify._gather(firsts, joint) - classify._gather(seconds, joint)
-    side = len(classify._matrix(firsts[0]))
-    return classify._max_distance(pairs, classify._bounds(diffs, side), tol, witness)
+    """``classify._max_distance`` over ``pairs``, on blocks found once for all of them.
+
+    Pair k is states 2k and 2k + 1 of one ``classify._blocks`` call, so its
+    bound is the norm of its block difference and its exact distance is
+    ``eigvalsh`` on those blocks, as in a sweep row.
+    """
+    states = [state for pair in pairs for state in pair]
+    stacks = classify._blocks(states)
+    side = len(classify._matrix(states[0]))
+    bounds = classify._bounds(stacks, slice(0, None, 2), slice(1, None, 2), side)
+    return classify._max_distance(
+        [(2 * k, 2 * k + 1) for k in range(len(pairs))], bounds, stacks, tol, witness
+    )

@@ -176,6 +176,10 @@ def test_trace_distance_accepts_reduced_states():
     assert trace_distance(rho, np.eye(2) / 2) == 0
     with pytest.raises(ValueError):
         trace_distance(np.eye(2), np.eye(4))
+    # rejected by shape before any side^2 pattern or component search
+    for shape in ((2, 3), (3,), (2, 2, 2)):
+        with pytest.raises(ValueError, match=rf"not a square matrix: shape \({shape[0]},"):
+            trace_distance(np.zeros(shape), np.zeros(shape))
 
 
 def test_trace_distance_rejects_states_over_different_qudits():
@@ -522,6 +526,17 @@ def test_sweep_distances_match_exact_recomputation():
     check_distances_against_exact_recomputation(
         SweepConfig(dims=(2, 3), ns=(1, 2), family="all", samples=4, seed=8)
     )
+    # an authorized row and two missing-pair rows, with blocks up to 81 wide
+    check_distances_against_exact_recomputation(
+        SweepConfig(
+            dims=(3,),
+            ns=(3,),
+            family="named",
+            subsets=("S1,N1,S2,N2,S3,N3", "S1,N1,S2,N2,S3", "S1,N1,S2"),
+            samples=4,
+            seed=8,
+        )
+    )
 
 
 def test_aligned_sweep_distances_match_exact_recomputation():
@@ -573,23 +588,31 @@ def test_aligned_sweep_diagonalizes_only_input_dependent_rows(monkeypatch):
     # 10 samples make 45 oracle pairs; every other distance is certified, and
     # the exact maximum is taken in bound order, which stops early because a
     # leaking aligned difference has g eigenvalue levels of equal multiplicity:
-    # at g = 2 its bound is exact, so the first pair settles the maximum
-    inner_distance, inner_row = classify.trace_distance, classify.evaluate_subset
-    calls = []
+    # at g = 2 its bound is exact, so the first pair settles the maximum.
+    # Each row splits its joint nonzero pattern into components once.
+    inner_distance, inner_row = classify._block_distance, classify.evaluate_subset
+    inner_components = classify._components
+    calls, searches = [], []
 
     def counted(*args):
         calls.append(1)
         return inner_distance(*args)
 
+    def searched(*args):
+        searches.append(1)
+        return inner_components(*args)
+
     per_row = []
 
     def row_clock(*args):
-        before = len(calls)
+        before, searched_before = len(calls), len(searches)
         row = inner_row(*args)
+        assert len(searches) - searched_before == 1, row
         per_row.append((row, len(calls) - before))
         return row
 
-    monkeypatch.setattr(classify, "trace_distance", counted)
+    monkeypatch.setattr(classify, "_block_distance", counted)
+    monkeypatch.setattr(classify, "_components", searched)
     monkeypatch.setattr(classify, "evaluate_subset", row_clock)
     report = run_sweep(SweepConfig(dims=(2, 3, 4), ns=(1, 2, 3), samples=10, seed=7))
     assert report.all_agree and len(per_row) == len(report.rows) == 27
@@ -602,6 +625,33 @@ def test_aligned_sweep_diagonalizes_only_input_dependent_rows(monkeypatch):
             assert 1 <= count <= 45, row
     # pinned, so that a return to diagonalizing every pair shows
     assert sum(count for _, count in per_row) == 16
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_non_finite_closed_form_fails_its_row(monkeypatch, d):
+    # a NaN must fail every gate it reaches (NaN compares false), and must
+    # not reach eigvalsh, which raises on it
+    inner = classify.analytic_reduced
+
+    def poisoned(*args):
+        closed = inner(*args)
+        if closed is None:
+            return None
+        out = []
+        for state in closed:
+            matrix = state.matrix.copy()
+            matrix[0, 0] = np.nan
+            out.append(ReducedState(state.d, state.labels, matrix))
+        return out
+
+    monkeypatch.setattr(classify, "analytic_reduced", poisoned)
+    for family in ("aligned", "all"):
+        config = SweepConfig(dims=(d,), ns=(1, 2, 3), family=family, samples=4, seed=8)
+        rows = [row for row in run_sweep(config).rows if not row.authorized]
+        assert rows
+        for row in rows:
+            assert not row.agree and row.note, row
+            assert np.isnan(row.analytic_oracle_distance), row
 
 
 def test_bound_never_decides_a_witness_gate():
