@@ -374,36 +374,36 @@ def _subsets_for(config: SweepConfig, n: int) -> list[RegisterSubset]:
 _SCAN_SLACK = 1e-9
 
 
-def _bounds(stacks: Sequence[np.ndarray], first, second, side: int) -> np.ndarray:
-    """Widened bound sqrt(side)/2 * ||X||_F * (1 + _SCAN_SLACK) per difference X.
-
-    X is state ``first`` minus state ``second`` of ``stacks``, one of them
-    a slice of states, and is zero off its blocks.  Each norm is taken of X
-    itself: through a Gram matrix, ||a||^2 + ||b||^2 - 2 Re<a, b> cancels
-    to about 1e-9 for differences near 1e-16, which decides nothing.
-    """
-    diffs = [stack[first] - stack[second] for stack in stacks]
-    rows = np.concatenate([diff.reshape(len(diff), -1) for diff in diffs], axis=1)
-    return 0.5 * math.sqrt(side) * np.linalg.norm(rows, axis=-1) * (1 + _SCAN_SLACK)
-
-
 def _max_distance(
-    pairs: Sequence[tuple[int, int]], bounds: np.ndarray, stacks: Sequence[np.ndarray],
+    stacks: Sequence[np.ndarray], first: np.ndarray, second: np.ndarray, side: int,
     tol: float, witness: float,
 ) -> tuple[float, bool]:
-    """Largest trace distance over ``pairs``, or a certified bound on it.
+    """Largest trace distance over pairs of states, or a certified bound on it.
 
-    Pair k is state i minus state j of ``stacks`` for (i, j) = pairs[k], and
-    ``bounds[k]`` is its ``_bounds``: T(X) <= sqrt(side)/2 * ||X||_F.  When
-    every bound is <= tol and < witness, each gate reads the same on the
-    largest bound as on the exact maximum, so that bound is returned with
-    True.  Otherwise the exact maximum is returned with False: pairs are
-    diagonalized in descending order of bound until no bound left reaches
-    the largest distance found, since no skipped pair can then exceed it.
-    A bound that is not finite comes from a non-finite entry, as no entry
-    of a state exceeds 1: the maximum is NaN, which fails every gate, and
-    no block reaches ``eigvalsh``.
+    Pair k is state ``first[k]`` minus state ``second[k]`` of ``stacks``, a
+    difference X that is zero off the blocks.  Its bound is sqrt(side)/2 *
+    ||X||_F * (1 + _SCAN_SLACK), the norm taken of X itself: through a Gram
+    matrix, ||a||^2 + ||b||^2 - 2 Re<a, b> cancels to about 1e-9 for
+    differences near 1e-16, which decides nothing.  Bounds are taken over
+    chunks of half as many pairs as ``stacks`` holds states: a chunk holds
+    at most three arrays of its differences' size at once (two gathers and
+    their difference, or the norm's two copies), 1.5 times ``stacks``.
+    When every bound is <= tol and < witness, each gate reads the same on
+    the largest bound as on the exact maximum, so that bound is returned
+    with True.  Otherwise the exact maximum is returned with False: pairs
+    are diagonalized in descending order of bound until no bound left
+    reaches the largest distance found, since no skipped pair can then
+    exceed it.  A bound that is not finite comes from a non-finite entry, as
+    no entry of a state exceeds 1: the maximum is NaN, which fails every
+    gate, and no block reaches ``eigvalsh``.
     """
+    chunk = len(stacks[0]) // 2
+    norms = np.empty(len(first))
+    for start in range(0, len(first), chunk):
+        i, j = first[start:start + chunk], second[start:start + chunk]
+        rows = np.concatenate([(stack[i] - stack[j]).reshape(len(i), -1) for stack in stacks], 1)
+        norms[start:start + chunk] = np.linalg.norm(rows, axis=-1)
+    bounds = 0.5 * math.sqrt(side) * norms * (1 + _SCAN_SLACK)
     top = float(np.max(bounds, initial=0.0))
     if not math.isfinite(top):
         return math.nan, False
@@ -413,7 +413,7 @@ def _max_distance(
     for k in np.argsort(-bounds, kind="stable"):  # ties keep the order of pairs
         if bounds[k] < best:
             break
-        i, j = pairs[k]
+        i, j = first[k], second[k]
         best = max(best, _block_distance([stack[i] - stack[j] for stack in stacks]))
     return best, False
 
@@ -436,9 +436,9 @@ def evaluate_subset(
     ``analytic_reduced`` call.  ``tol`` and ``witness`` come from ``config``.
     A distance at or below ``tol`` may be reported as a certified upper
     bound (see ``_max_distance``); its ``*_bound`` field says so.  One
-    ``_blocks`` call gathers every compared state's blocks; each pair's bound
-    is the norm of its block difference, and its exact distance is eigvalsh
-    on the same blocks.  A NaN distance fails its gate and gets a note.
+    ``_blocks`` call gathers every compared state's blocks, and each check
+    is one ``_max_distance`` call naming its pairs by two index arrays into
+    them.  A NaN distance fails its gate and gets a note.
     """
     tol, witness = config.tol, config.witness
     cls = classify_subset(d, subset)
@@ -482,17 +482,13 @@ def evaluate_subset(
     side, count = reduced[0].dim, len(reduced)
     # states 0..count-1 are the oracle's, then the closed forms, then the mixed one
     stacks = _blocks([*reduced, *closed, *mixed])
-    # one state's later partners at a time: at most samples - 1 differences are held
-    pairs = list(itertools.combinations(range(count), 2))
-    bounds = [_bounds(stacks, i, slice(i + 1, count), side) for i in range(count - 1)]
-    oracle_max, oracle_bound = _max_distance(pairs, np.concatenate(bounds), stacks, tol, witness)
+    own = np.arange(count)
+    oracle_max, oracle_bound = _max_distance(stacks, *np.triu_indices(count, 1), side, tol, witness)
 
     analytic_dist: float | None = None
     analytic_bound: bool | None = None
     if closed:
-        pairs = [(count + i, i) for i in range(count)]
-        bounds = _bounds(stacks, slice(count, 2 * count), slice(count), side)
-        analytic_dist, analytic_bound = _max_distance(pairs, bounds, stacks, tol, witness)
+        analytic_dist, analytic_bound = _max_distance(stacks, own + count, own, side, tol, witness)
 
     notes: list[str] = []  # each is a disagreement; the row agrees when none is found
     # every gate is written so that a NaN distance reads as a disagreement
@@ -501,9 +497,7 @@ def evaluate_subset(
     if uninformative:
         if not oracle_max <= tol:
             notes.append("verdict says input-independent, oracle disagrees")
-        pairs = [(i, 2 * count) for i in range(count)]
-        bounds = _bounds(stacks, slice(count), 2 * count, side)
-        mixed_dist, _ = _max_distance(pairs, bounds, stacks, tol, witness)
+        mixed_dist, _ = _max_distance(stacks, own, np.full(count, 2 * count), side, tol, witness)
         if cls.maximally_mixed and not mixed_dist <= tol:
             notes.append("flagged maximally mixed, oracle disagrees")
         if not cls.maximally_mixed and not mixed_dist >= witness:

@@ -248,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CapacityError) as exc:
+    except (ValueError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,8 @@ signal qudit at n = 1, and ``numeric_independence_test`` takes the exact
 largest pairwise trace distance of oracle states, one ``trace_distance``
 per pair, with no bound in between.  ``bell_state`` is the pair state the
 encoder prepares, written out as a vector for the dense reference routes.
-``scan_pairs`` runs the sweep's bound-ordered scan on any list of pairs,
-with their blocks, bounds and distances taken the way a sweep row takes them.
+``scan_pairs`` runs the sweep's comparison, ``classify._max_distance``, on
+any list of pairs of states.
 """
 
 import itertools
@@ -70,14 +70,10 @@ def numeric_independence_test(
 def scan_pairs(pairs, tol: float, witness: float) -> tuple[float, bool]:
     """``classify._max_distance`` over ``pairs``, on blocks found once for all of them.
 
-    Pair k is states 2k and 2k + 1 of one ``classify._blocks`` call, so its
-    bound is the norm of its block difference and its exact distance is
-    ``eigvalsh`` on those blocks, as in a sweep row.
+    Pair k is states 2k and 2k + 1 of one ``classify._blocks`` call, as a
+    sweep row names its pairs by index into its own blocks.
     """
     states = [state for pair in pairs for state in pair]
-    stacks = classify._blocks(states)
+    first = np.arange(0, len(states), 2)
     side = len(classify._matrix(states[0]))
-    bounds = classify._bounds(stacks, slice(0, None, 2), slice(1, None, 2), side)
-    return classify._max_distance(
-        [(2 * k, 2 * k + 1) for k in range(len(pairs))], bounds, stacks, tol, witness
-    )
+    return classify._max_distance(classify._blocks(states), first, first + 1, side, tol, witness)

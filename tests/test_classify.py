@@ -714,3 +714,21 @@ def test_max_distance_is_exact_when_the_largest_bound_is_loose():
     value, bound = scan_pairs([loose, small, flat], 1e-9, 1e-6)
     assert not bound
     assert value == trace_distance(*flat) == pytest.approx(1.2 * lam)
+
+
+def test_max_distance_holds_a_chunk_of_block_differences_at_a_time():
+    # ten dense states form one block, so each pair's difference is a full
+    # 64 x 64 matrix; all 45 at once would hold 4.5 times the stacks
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((10, 64, 64)) + 1j * rng.standard_normal((10, 64, 64))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    stacks = classify._blocks(list(rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]))
+    assert [stack.shape for stack in stacks] == [(10, 1, 64, 64)]
+    tracemalloc.start()
+    try:
+        value, bound = classify._max_distance(stacks, *np.triu_indices(10, 1), 64, 1e-9, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not bound and value > 0
+    assert peak < 3 * stacks[0].nbytes

@@ -224,6 +224,18 @@ def test_sweep_writes_reports(tmp_path, capsys):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_sweep_reports_an_unwritable_report_path(tmp_path, capsys, flag):
+    # exit 1 means a row disagreed, so a report that cannot be written exits 2:
+    # a path below a regular file cannot be made, and a directory is no file
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    path = blocker / "out.json" if flag == "--json" else tmp_path
+    code, _, err = run(capsys, "sweep", "--dims", "2", "--ns", "1", flag, str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "grid", [("--dims", ",", "--ns", "1"), ("--dims", "2", "--ns", "")], ids=["no-dims", "no-ns"]
 )

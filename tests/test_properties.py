@@ -12,6 +12,8 @@ from cloneleak.classify import (
     COMPLETELY_UNINFORMATIVE,
     FULLY_INFORMATIVE,
     PARTIALLY_INFORMATIVE,
+    _blocks,
+    _max_distance,
     classify_subset,
     trace_distance,
 )
@@ -105,13 +107,20 @@ def test_trace_distance_lies_between_the_frobenius_bounds(side, ranks, seed, res
 )
 def test_max_distance_scan_returns_the_exact_maximum(side, ranks, seed):
     # the scan skips pairs whose bound cannot beat the running maximum, so
-    # its value must be the one a full pass over every pair gives
+    # its value must be the one a full pass over every pair gives, both on
+    # disjoint pairs and on the sweep's own pairing of the states as drawn,
+    # whose pairs share states and span several chunks
     rng = np.random.default_rng(seed)
     states = [_density(rng, side, min(rank, side)) for rank in ranks]
     pairs = list(itertools.combinations(states, 2))
+    exact = max(trace_distance(a, b) for a, b in pairs)
     value, bound = scan_pairs(pairs, 1e-9, 1e-6)
     if not bound:
-        assert value == max(trace_distance(a, b) for a, b in pairs)
+        assert value == exact
+    first, second = np.triu_indices(len(states), 1)
+    value, bound = _max_distance(_blocks(states), first, second, side, 1e-9, 1e-6)
+    if not bound:
+        assert value == exact
 
 
 @st.composite
