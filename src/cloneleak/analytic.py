@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .modnum import CongruenceSolutionSet, delta, require_dim, require_int, solve_aligned_system
-from .pauli import PauliWord, PureState, expectation, require_state
+from .pauli import PauliWord, PureState, expectation, require_states
 from .protocol import (
     BOTH,
     NONE,
@@ -125,9 +125,7 @@ def aligned_reduced(
         raise ValueError(f"subset {subset} is not aligned")
     n, p = subset.n, subset.signal_count
     sols = solve_aligned_system(d, p, n - p)
-    states = [psi] if isinstance(psi, PureState) else list(psi)
-    for state in states:
-        require_state(state, d)
+    states = require_states(psi, d)
     digits = _digits(d, n)
     side = len(digits)
     sign = np.array([1] * p + [-1] * (n - p))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analytic import LeakTerm, aligned_reduced, leaked_words, missing_pair_subset_reduced
 from .modnum import require_dim, require_int, solve_aligned_system
-from .pauli import PureState, random_states, require_state
+from .pauli import PureState, random_states, require_states
 from .protocol import (
     BOTH,
     CapacityError,
@@ -81,24 +81,30 @@ def classify_subset(d: int, subset: RegisterSubset) -> Classification:
     return Classification(verdict, False, not leak, p=p, q=sols.q, g=sols.g, leak=leak)
 
 
+def verdict_record(d: int, subset: RegisterSubset, cls: Classification) -> dict:
+    """A subset's verdict fields, as its sweep row and ``classify --json`` carry them."""
+    return dict(
+        d=d, n=subset.n, subset=str(subset), p=cls.p, q=cls.q, g=cls.g, verdict=cls.verdict,
+        authorized=cls.authorized, maximally_mixed=cls.maximally_mixed, leak_terms=cls.leak,
+    )
+
+
 def analytic_reduced(
     d: int, subset: RegisterSubset, psi: PureState | Sequence[PureState]
 ) -> ReducedState | list[ReducedState] | None:
     """The closed form of ``psi``'s reduced state; None for authorized subsets.
 
-    A list or tuple of states gives a list with one state per input.  A
+    A Sequence of states gives a list with one state per input.  A
     missing-pair state is input-free, so that list repeats one state.
     """
     require_dim(d)
-    states = list(psi) if isinstance(psi, Sequence) else [psi]
-    for state in states:
-        require_state(state, d)
+    states = require_states(psi, d)
     if is_authorized(subset):
         return None
     if subset.touches_all_pairs:
         return aligned_reduced(d, subset, psi)
     closed = missing_pair_subset_reduced(d, subset.n, subset)
-    return [closed] * len(states) if isinstance(psi, Sequence) else closed
+    return closed if isinstance(psi, PureState) else [closed] * len(states)
 
 
 def _matrix(state: ReducedState | np.ndarray) -> np.ndarray:
@@ -181,6 +187,10 @@ def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.n
             raise ValueError(f"not a square matrix: shape {matrix.shape}")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    for name, matrix in (("first", a), ("second", b)):
+        if not np.isfinite(matrix).all():
+            i, j = np.argwhere(~np.isfinite(matrix))[0]
+            raise ValueError(f"non-finite entry {matrix[i, j]} at ({i}, {j}) of the {name} matrix")
     return _block_distance([stack[0] for stack in _blocks([a - b])])
 
 
@@ -442,18 +452,7 @@ def evaluate_subset(
     """
     tol, witness = config.tol, config.witness
     cls = classify_subset(d, subset)
-    common = dict(
-        d=d,
-        n=subset.n,
-        subset=str(subset),
-        p=cls.p,
-        q=cls.q,
-        g=cls.g,
-        verdict=cls.verdict,
-        authorized=cls.authorized,
-        maximally_mixed=cls.maximally_mixed,
-        leak_terms=cls.leak,
-    )
+    record = verdict_record(d, subset, cls)
     if len(states) != config.samples:
         raise ValueError(f"expected {config.samples} samples, got {len(states)}")
     if not isinstance(support, CapacityError) and len(support[1]) != len(states):
@@ -466,7 +465,7 @@ def evaluate_subset(
         reduced = reduce_support(*support, d, subset.n, subset)
     except CapacityError as exc:
         return SweepRow(
-            **common,
+            **record,
             oracle_max_distance=None,
             oracle_max_bound=None,
             analytic_oracle_distance=None,
@@ -505,7 +504,7 @@ def evaluate_subset(
     elif not oracle_max >= witness:
         notes.append("verdict says input-dependent, oracle looks independent")
     return SweepRow(
-        **common,
+        **record,
         oracle_max_distance=oracle_max,
         oracle_max_bound=oracle_bound,
         analytic_oracle_distance=analytic_dist,

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .classify import SweepConfig, analytic_reduced, classify_subset, run_sweep
+from .classify import SweepConfig, analytic_reduced, classify_subset, run_sweep, verdict_record
 from .modnum import system_gcd
 from .pauli import PureState, random_states
 from .protocol import CapacityError, RegisterSubset, oracle_reduced
@@ -42,19 +43,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     subset = RegisterSubset.from_labels(args.subset, args.n)
     cls = classify_subset(args.d, subset)
     if args.json:
-        payload = {
-            "d": args.d,
-            "n": args.n,
-            "subset": str(subset),
-            "verdict": cls.verdict,
-            "authorized": cls.authorized,
-            "maximally_mixed": cls.maximally_mixed,
-            "p": cls.p,
-            "q": cls.q,
-            "g": cls.g,
-            "leak_terms": [t.to_dict() for t in cls.leak],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        record = verdict_record(args.d, subset, cls)
+        record["leak_terms"] = [t.to_dict() for t in cls.leak]
+        print(json.dumps(record, indent=2, sort_keys=True))
         return 0
     print(f"subset {subset} of a d={args.d}, n={args.n} register")
     print(f"verdict: {cls.verdict}")
@@ -129,11 +120,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    report = run_sweep(
-        _sweep_config(
-            args, dims=args.dims, ns=args.ns, family=args.family, subsets=args.subset or ()
-        )
+    config = _sweep_config(
+        args, dims=args.dims, ns=args.ns, family=args.family, subsets=args.subset or ()
     )
+    for path in filter(None, (args.json, args.csv)):  # before the grid, which may run long
+        _prepare_report(path)
+    report = run_sweep(config)
     print(report.to_table())
     print(report.summary())
     if args.json:
@@ -160,10 +152,16 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_report(path: str, text: str) -> None:
+def _prepare_report(path: str) -> None:
+    """Make a report's directory; reject a path that no file can be written at."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, encoding="utf-8")
+    if out.is_dir() or not os.access(out if out.exists() else out.parent, os.W_OK):
+        raise OSError(f"cannot write a report at {path}")
+
+
+def _write_report(path: str, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8")
     print(f"wrote {path}")
 
 

@@ -12,6 +12,7 @@ criterion an integer statement rather than a numerical one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -126,12 +127,17 @@ class PureState:
         return cls(d, amps / np.linalg.norm(amps))
 
 
-def require_state(state: object, d: int) -> None:
-    """Reject anything but a PureState of dimension d."""
-    if not isinstance(state, PureState):
-        raise TypeError(f"expected PureState, got {type(state).__name__}")
-    if state.d != d:
-        raise ValueError(f"state dimension {state.d} does not match d={d}")
+def require_states(psi: object, d: int) -> list[PureState]:
+    """``psi`` as a list of inputs of dimension d: a PureState, or a Sequence of them."""
+    states = [psi] if isinstance(psi, PureState) else psi
+    if not isinstance(states, Sequence):
+        raise TypeError(f"expected PureState, got {type(psi).__name__}")
+    for state in states:
+        if not isinstance(state, PureState):
+            raise TypeError(f"expected PureState, got {type(state).__name__}")
+        if state.d != d:
+            raise ValueError(f"state dimension {state.d} does not match d={d}")
+    return list(states)
 
 
 def random_states(d: int, count: int, seed: int) -> list[PureState]:

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .modnum import require_dim, require_int
-from .pauli import PauliWord, PureState, enc_coefficient_value, require_state
+from .pauli import PauliWord, PureState, enc_coefficient_value, require_states
 
 # Size guards; exceeding one raises CapacityError instead of silently
 # allocating gigabytes.  ENCODER_DIM_LIMIT bounds the side of the d^(n+1)
@@ -327,15 +327,13 @@ def encode_support(
     (1-D for a single state).  An amplitude may be an exact zero.  Each
     state's products are matrix products of a fixed shape of its own, so a
     row is bit-identical to encoding its state alone.  Raises TypeError for
-    an element that is not a PureState, and CapacityError when the register
-    d^(2n+1), whose layout the indices address, or the d^2 x d^2 pair
-    table, the larger object at n = 1, exceeds ``STATE_AMPLITUDE_LIMIT``.
+    anything but a PureState or a Sequence of them, and CapacityError when
+    the register d^(2n+1), whose layout the indices address, or the d^2 x d^2
+    pair table, the larger object at n = 1, exceeds ``STATE_AMPLITUDE_LIMIT``.
     """
     require_dim(d)
     require_pairs(n)
-    states = [psi] if isinstance(psi, PureState) else list(psi)
-    for state in states:
-        require_state(state, d)
+    states = require_states(psi, d)
     require_capacity("register size d^(2n+1)", d ** (2 * n + 1), STATE_AMPLITUDE_LIMIT)
     require_capacity("encoder pair table d^4", d**4, STATE_AMPLITUDE_LIMIT)
     words, coeffs, members, cells, factor = _encoder_tables(d)

@@ -178,11 +178,25 @@ def test_closed_forms_reject_inputs_that_are_not_states():
     amps = np.array([1, 0])
     with pytest.raises(TypeError, match="expected PureState, got ndarray"):
         aligned_reduced(2, sub, [amps])
-    with pytest.raises(TypeError, match="expected PureState, got int"):
-        aligned_reduced(2, sub, amps)  # iterated as a batch of its entries
+    with pytest.raises(TypeError, match="expected PureState, got ndarray"):
+        aligned_reduced(2, sub, amps)  # an array is no batch
     for labels in ("S1,N2", "S1,N1", "S1,N1,S2"):  # aligned, missing-pair, authorized
         with pytest.raises(TypeError, match="expected PureState, got ndarray"):
             analytic_reduced(2, RegisterSubset.from_labels(labels, 2), amps)
+    # one rule for every batch entry point: a PureState or a Sequence of them
+    states = random_states(2, 3, seed=1)
+    entry_points = (
+        lambda psi: encode(psi, 2, 2),
+        lambda psi: aligned_reduced(2, sub, psi),
+        lambda psi: analytic_reduced(2, sub, psi),
+    )
+    for call in entry_points:
+        assert len(call(states)) == len(call(tuple(states))) == 3
+        for batch, name in ((iter(states), "list_iterator"),
+                            ((s for s in states), "generator"),
+                            (amps, "ndarray")):
+            with pytest.raises(TypeError, match=f"expected PureState, got {name}$"):
+                call(batch)
 
 
 def test_parity_rule_for_qubits():

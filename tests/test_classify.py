@@ -1,5 +1,6 @@
 """Taxonomy, distance tooling, and the sweep harness."""
 
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -176,6 +177,13 @@ def test_trace_distance_accepts_reduced_states():
     assert trace_distance(rho, np.eye(2) / 2) == 0
     with pytest.raises(ValueError):
         trace_distance(np.eye(2), np.eye(4))
+    # a non-finite entry is named, in either argument, with no numpy warning
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.eye(2) / 2
+        bad[1, 0] = value
+        for first, second, which in ((bad, np.eye(2), "first"), (np.eye(2), bad, "second")):
+            with pytest.raises(ValueError, match=rf"non-finite entry .* at \(1, 0\) of the {which}"):
+                trace_distance(first, second)
     # rejected by shape before any side^2 pattern or component search
     for shape in ((2, 3), (3,), (2, 2, 2)):
         with pytest.raises(ValueError, match=rf"not a square matrix: shape \({shape[0]},"):
@@ -301,6 +309,36 @@ def test_evaluate_subset_rejects_a_sample_count_off_its_config():
     states = random_states(d, 1, seed=3)
     with pytest.raises(ValueError, match="expected 4 samples, got 1"):
         evaluate_subset(d, sub("S1", n), states, encode_support(states, d, n), config)
+    # and each state needs its own register
+    states = random_states(d, 4, seed=3)
+    index, values = encode_support(states, d, n)
+    with pytest.raises(ValueError, match="4 states but 3 registers"):
+        evaluate_subset(d, sub("S1", n), states, (index, values[:3]), config)
+
+
+def test_evaluate_subset_notes_each_verdict_the_oracle_contradicts(monkeypatch):
+    # a wrong verdict must fail its row: S1 at (2, 1) leaks (g = 2), and
+    # S1,N2 at (2, 2) is maximally mixed (g = 1)
+    wrong = {
+        (2, 1, "S1"): dict(verdict=COMPLETELY_UNINFORMATIVE, maximally_mixed=True),
+        (2, 2, "S1,N2"): dict(maximally_mixed=False),
+    }
+    true = classify.classify_subset
+
+    def lying(d, subset):
+        return dataclasses.replace(true(d, subset), **wrong[d, subset.n, str(subset)])
+
+    monkeypatch.setattr(classify, "classify_subset", lying)
+    config = SweepConfig(dims=(2,), ns=(1, 2), samples=4, seed=3)
+    row = replay(2, "S1", 1, config)
+    assert not row.agree
+    assert row.note == (
+        "verdict says input-independent, oracle disagrees; "
+        "flagged maximally mixed, oracle disagrees"
+    )
+    row = replay(2, "S1,N2", 2, config)
+    assert not row.agree
+    assert row.note == "flagged non-mixed, oracle looks maximally mixed"
 
 
 def test_sweep_config_validation():

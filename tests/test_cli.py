@@ -1,12 +1,14 @@
 """Command-line behavior: outputs, files, exit codes."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cloneleak.classify import SweepConfig
+from cloneleak import cli
+from cloneleak.classify import SweepConfig, SweepRow, run_sweep
 from cloneleak.cli import build_parser, main
 
 
@@ -37,6 +39,20 @@ def test_classify_json_output(capsys):
     assert code == 0
     payload = json.loads(out)
     assert (payload["p"], payload["q"], payload["g"]) == (None, None, None)
+
+
+def test_classify_json_is_the_sweep_rows_verdict(capsys):
+    # the sweep row's fields up to leak_terms are the subset's verdict
+    verdict_fields = [f.name for f in fields(SweepRow)][:10]
+    assert verdict_fields[-1] == "leak_terms"
+    rows = run_sweep(SweepConfig(dims=(2, 3), ns=(1, 2), family="all", samples=2)).rows
+    assert len(rows) == 2 * (3 + 15)  # every nonempty subset of 1 and 2 pairs
+    for row in rows:
+        code, out, _ = run(
+            capsys, "classify", "-d", str(row.d), "-n", str(row.n), "--subset", row.subset, "--json"
+        )
+        assert code == 0
+        assert json.loads(out) == {name: row.to_dict()[name] for name in verdict_fields}
 
 
 def test_classify_rejects_bad_labels(capsys):
@@ -225,15 +241,21 @@ def test_sweep_writes_reports(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--json", "--csv"])
-def test_sweep_reports_an_unwritable_report_path(tmp_path, capsys, flag):
-    # exit 1 means a row disagreed, so a report that cannot be written exits 2:
-    # a path below a regular file cannot be made, and a directory is no file
+def test_sweep_reports_an_unwritable_report_path(tmp_path, capsys, monkeypatch, flag):
+    # exit 1 means a row disagreed, so a report that cannot be written exits 2,
+    # and before the grid runs: a path below a regular file cannot be made, a
+    # directory is no file, and a directory may refuse a new file
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    path = blocker / "out.json" if flag == "--json" else tmp_path
-    code, _, err = run(capsys, "sweep", "--dims", "2", "--ns", "1", flag, str(path))
-    assert code == 2
-    assert err.startswith("error:")
+    monkeypatch.setattr(cli, "run_sweep", lambda config: pytest.fail("the sweep ran"))
+    for path, writable in ((blocker / "out", True), (tmp_path, True), (tmp_path / "out", False)):
+        with monkeypatch.context() as patch:
+            if not writable:
+                patch.setattr(cli.os, "access", lambda *args: False)
+            code, out, err = run(capsys, "sweep", "--dims", "2", "--ns", "1", flag, str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
 
 
 @pytest.mark.parametrize(
