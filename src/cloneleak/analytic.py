@@ -105,6 +105,61 @@ def _digits(d: int, count: int) -> np.ndarray:
     return digits
 
 
+@functools.lru_cache(maxsize=128)
+def _orbits(d: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of an aligned state, p signals then q noises, read-only.
+
+    Every term moves a digit c_i by a multiple of s_i, +1 on a signal and
+    -1 on a noise, so the state is zero outside the orbits {c + t*s : t in
+    Z_d} of the columns.  Each orbit is listed from its column with first
+    digit 0, one of the first d^(n-1) indices, so member t has first digit
+    t*s_1 and the orbits partition the side.  Returns the (d^(n-1), d) rows
+    of the orbits and each member's digit sum.  Cached per (d, p, q) like
+    ``_digits``, with room for well over the 45 keys of the aligned grid
+    d 2..6 x n 1..3, which a sweep visits in turn, so no pass evicts what
+    the next one needs; an entry takes at most 64 KB, at side 4096.
+    """
+    n = p + q
+    digits = _digits(d, n)
+    sign = np.array([1] * p + [-1] * q)
+    bases = digits[: len(digits) // d]
+    rowsets = (bases[:, None, :] + np.arange(d)[:, None] * sign) % d @ d ** np.arange(n - 1, -1, -1)
+    digit_sum = digits.sum(axis=1)[rowsets]
+    for table in (rowsets, digit_sum):
+        table.flags.writeable = False
+    return rowsets, digit_sum
+
+
+def _aligned_blocks(
+    d: int, subset: RegisterSubset, psi: PureState | Sequence[PureState]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The aligned closed form as its blocks: ``(rowsets, blocks)``.
+
+    The blocks are the orbits of ``_orbits``, whose (side/d, d) rows are
+    ``rowsets``.  Term (a, b) writes, for each column, the entry whose row
+    is a members further along the column's orbit, and the diagonal holds
+    the background 1/d^n.  The (states, side/d, d, d) blocks receive the
+    same adds in the same order as :func:`aligned_reduced`'s dense entries.
+    """
+    if not subset.is_aligned:
+        raise ValueError(f"subset {subset} is not aligned")
+    n, p = subset.n, subset.signal_count
+    sols = solve_aligned_system(d, p, n - p)
+    states = require_states(psi, d)
+    rowsets, digit_sum = _orbits(d, p, n - p)
+    side = rowsets.size
+    roots = np.exp(1j * np.pi * np.arange(2 * d) / d)
+    members = np.arange(d)
+    blocks = np.zeros((len(states), len(rowsets), d, d), dtype=complex)
+    blocks[:, :, members, members] = 1 / side
+    for term in leaked_words(sols):
+        sig = term.signal_word()
+        values = roots[(term.phase_exponent + 2 * term.b * digit_sum) % (2 * d)]
+        scale = np.array([expectation(state, sig) for state in states]) / side
+        blocks[:, :, (members + term.a) % d, members] += scale[:, None, None] * values
+    return rowsets, blocks
+
+
 def aligned_reduced(
     d: int, subset: RegisterSubset, psi: PureState | Sequence[PureState]
 ) -> ReducedState | list[ReducedState]:
@@ -117,30 +172,17 @@ def aligned_reduced(
     c_i + a*s_i (mod d), with value <psi|X^a Z^b|psi>/d^n times the 2d-th
     root of unity exp(i*pi*(phase_exponent + 2*b*sum_i c_i)/d), so it is
     written entry by entry, d^n entries per term, with no matrix or
-    Kronecker product.  A sequence of states gives a list with one state
-    per input, each bit-identical to the one its input gives alone.  Raises
-    CapacityError when the kept side d^size exceeds ``REDUCED_SIDE_LIMIT``.
+    Kronecker product.  The entries are written into the state's blocks,
+    the orbits {c + t*s} of side d, by ``_aligned_blocks``, and the blocks
+    are written into a dense matrix at their rows.  A sequence of states
+    gives a list with one state per input, each bit-identical to the one
+    its input gives alone.  Raises CapacityError when the kept side d^size
+    exceeds ``REDUCED_SIDE_LIMIT``.
     """
-    if not subset.is_aligned:
-        raise ValueError(f"subset {subset} is not aligned")
-    n, p = subset.n, subset.signal_count
-    sols = solve_aligned_system(d, p, n - p)
-    states = require_states(psi, d)
-    digits = _digits(d, n)
-    side = len(digits)
-    sign = np.array([1] * p + [-1] * (n - p))
-    place = d ** np.arange(n - 1, -1, -1)
-    roots = np.exp(1j * np.pi * np.arange(2 * d) / d)
-    cols = np.arange(side)
-    digit_sum = digits.sum(axis=1)
-    acc = np.zeros((len(states), side, side), dtype=complex)
-    acc[:, cols, cols] = 1 / side
-    for term in leaked_words(sols):
-        sig = term.signal_word()
-        rows = (digits + term.a * sign) % d @ place
-        values = roots[(term.phase_exponent + 2 * term.b * digit_sum) % (2 * d)]
-        scale = np.array([expectation(state, sig) for state in states]) / side
-        acc[:, rows, cols] += scale[:, None] * values
+    rowsets, blocks = _aligned_blocks(d, subset, psi)
+    side = rowsets.size
+    acc = np.zeros((len(blocks), side, side), dtype=complex)
+    acc[:, rowsets[:, :, None], rowsets[:, None, :]] = blocks
     labels = subset.kept_labels()
     reduced = [ReducedState(d=d, labels=labels, matrix=mat) for mat in acc]
     return reduced[0] if isinstance(psi, PureState) else reduced

@@ -21,7 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import LeakTerm, aligned_reduced, leaked_words, missing_pair_subset_reduced
+from .analytic import (
+    LeakTerm,
+    _aligned_blocks,
+    aligned_reduced,
+    leaked_words,
+    missing_pair_subset_reduced,
+)
 from .modnum import require_dim, require_int, solve_aligned_system
 from .pauli import PureState, random_states, require_states
 from .protocol import (
@@ -31,8 +37,9 @@ from .protocol import (
     RegisterSubset,
     MEMBERSHIPS,
     NONE,
+    _reduce_blocks,
+    _scatter_blocks,
     encode_support,
-    reduce_support,
     require_pairs,
 )
 
@@ -428,6 +435,68 @@ def _max_distance(
     return best, False
 
 
+def _partition(rowsets: Sequence[np.ndarray], side: int) -> np.ndarray | None:
+    """Each of ``side`` rows' block, named by its smallest row, or -1 off every block.
+
+    ``rowsets`` are (groups, c) arrays of rows, one block a row.  None when
+    two blocks share a row, so that equal labels mean equal partitions.
+    """
+    rows = np.concatenate([sets.ravel() for sets in rowsets])
+    if np.bincount(rows, minlength=side).max() > 1:
+        return None
+    label = np.full(side, -1)
+    for sets in rowsets:
+        label[sets] = sets.min(axis=1, keepdims=True)
+    return label
+
+
+def _block_stacks(
+    d: int,
+    subset: RegisterSubset,
+    states: Sequence[PureState],
+    parts: list[tuple[list[int], np.ndarray, np.ndarray]],
+    uninformative: bool,
+    notes: list[str],
+) -> list[np.ndarray] | None:
+    """A row's stacks straight from the oracle's blocks, or None for the dense path.
+
+    ``parts`` are the oracle's ``_reduce_blocks`` output.  The route needs
+    an aligned or authorized subset whose registers share one nonzero
+    pattern, so that every part holds every register, with disjoint
+    row-sets; each part is then one stack, its oracle blocks first.  An
+    aligned row appends the closed form's blocks, built by its own orbit
+    rule, once an integer check finds that its partition equals the
+    oracle's: each closed entry is read at the oracle's rows, in the
+    oracle's order.  A partition that differs appends a note and sends the
+    row to the dense path.  An uninformative row appends the maximally
+    mixed state, 1/side on each block's diagonal: the orbits cover every
+    row, and so do the oracle's blocks when the partitions are equal.
+    """
+    count, side = len(states), d**subset.size
+    if not parts or not subset.touches_all_pairs or any(len(regs) < count for regs, _, _ in parts):
+        return None
+    label = _partition([sets for _, sets, _ in parts], side)
+    if label is None:
+        return None
+    if is_authorized(subset):
+        return [blocks for _, _, blocks in parts]
+    closed_sets, closed = _aligned_blocks(d, subset, states)
+    if not np.array_equal(_partition([closed_sets], side), label):
+        notes.append("closed form's block partition differs from oracle's")
+        return None
+    group, member = np.empty(side, dtype=np.intp), np.empty(side, dtype=np.intp)
+    group[closed_sets] = np.arange(len(closed_sets))[:, None]
+    member[closed_sets] = np.arange(closed_sets.shape[1])
+    stacks = []
+    for _, sets, blocks in parts:
+        at = member[sets]
+        pieces = [blocks, closed[:, group[sets[:, :1, None]], at[:, :, None], at[:, None, :]]]
+        if uninformative:
+            pieces.append(np.broadcast_to(np.eye(sets.shape[1]) / side, (1, *blocks.shape[1:])))
+        stacks.append(np.concatenate(pieces))
+    return stacks
+
+
 def evaluate_subset(
     d: int,
     subset: RegisterSubset,
@@ -442,13 +511,19 @@ def evaluate_subset(
     the CapacityError that stopped the shape from being encoded; such a row,
     and one whose oracle reduced states are too large, is skipped and its
     note gives the reason.  All registers are reduced in one
-    ``reduce_support`` call, and all closed forms in one
-    ``analytic_reduced`` call.  ``tol`` and ``witness`` come from ``config``.
-    A distance at or below ``tol`` may be reported as a certified upper
-    bound (see ``_max_distance``); its ``*_bound`` field says so.  One
-    ``_blocks`` call gathers every compared state's blocks, and each check
-    is one ``_max_distance`` call naming its pairs by two index arrays into
-    them.  A NaN distance fails its gate and gets a note.
+    ``_reduce_blocks`` call, which ends at the oracle's Gram blocks.  An
+    aligned or authorized row compares those blocks directly (see
+    ``_block_stacks``), and no side x side array is formed.  Any other row
+    takes the dense path: a missing-pair row, an irregular plan, or a
+    closed form whose block partition differs from the oracle's.  There
+    the blocks are added into dense states, all closed forms come from one
+    ``analytic_reduced`` call, and one ``_blocks`` call finds and gathers
+    every compared state's blocks.  Either way each check is one
+    ``_max_distance`` call naming its pairs by two index arrays into the
+    stacks.  ``tol`` and ``witness`` come from ``config``.  A distance at
+    or below ``tol`` may be reported as a certified upper bound (see
+    ``_max_distance``); its ``*_bound`` field says so.  A NaN distance
+    fails its gate and gets a note.
     """
     tol, witness = config.tol, config.witness
     cls = classify_subset(d, subset)
@@ -462,7 +537,7 @@ def evaluate_subset(
             # every subset of the shape raises this one error; a fresh
             # traceback keeps it from holding each row's frame
             raise support.with_traceback(None)
-        reduced = reduce_support(*support, d, subset.n, subset)
+        parts = _reduce_blocks(*support, d, subset.n, subset)
     except CapacityError as exc:
         return SweepRow(
             **record,
@@ -473,23 +548,26 @@ def evaluate_subset(
             agree=True,
             note=f"capacity: {exc}",
         )
-    # no CapacityError here: each closed form guards the same side d^size
-    # against the REDUCED_SIDE_LIMIT that reduce_support has just passed
-    closed = analytic_reduced(d, subset, states) or []
     uninformative = cls.verdict == COMPLETELY_UNINFORMATIVE
-    mixed = [maximally_mixed(d, subset.size)] if uninformative else []
-    side, count = reduced[0].dim, len(reduced)
+    side, count = d**subset.size, len(states)
+    notes: list[str] = []  # each is a disagreement; the row agrees when none is found
     # states 0..count-1 are the oracle's, then the closed forms, then the mixed one
-    stacks = _blocks([*reduced, *closed, *mixed])
+    stacks = _block_stacks(d, subset, states, parts, uninformative, notes)
+    if stacks is None:
+        # no CapacityError here: each closed form guards the same side d^size
+        # against the REDUCED_SIDE_LIMIT that the kernel has just passed
+        closed = analytic_reduced(d, subset, states) or []
+        mixed = [maximally_mixed(d, subset.size)] if uninformative else []
+        stacks = _blocks([*_scatter_blocks(parts, count, d, subset), *closed, *mixed])
+    del parts
     own = np.arange(count)
     oracle_max, oracle_bound = _max_distance(stacks, *np.triu_indices(count, 1), side, tol, witness)
 
     analytic_dist: float | None = None
     analytic_bound: bool | None = None
-    if closed:
+    if not cls.authorized:
         analytic_dist, analytic_bound = _max_distance(stacks, own + count, own, side, tol, witness)
 
-    notes: list[str] = []  # each is a disagreement; the row agrees when none is found
     # every gate is written so that a NaN distance reads as a disagreement
     if analytic_dist is not None and not analytic_dist <= tol:
         notes.append("closed form disagrees with oracle")

@@ -21,9 +21,11 @@ states the other way around, which is what makes the cross-check
 meaningful.  It multiplies only amplitudes that share a traced index:
 traced indices whose columns hold the same kept rows form one block of the
 reduced state, and each block is the Gram of its columns, taken for all
-blocks of a shape in one batched complex matmul and added into the state
-by one scatter, exactly Hermitian.  It drops the exact zeros itself,
-so it learns nothing from the encoder but where the entries sit.
+blocks of a shape in one batched complex matmul, exactly Hermitian.  That
+kernel ends at the blocks and their rows; ``reduce_support`` adds them into
+dense states with one scatter per block shape, while a sweep row compares
+the blocks themselves.  The kernel drops the exact zeros itself, so it
+learns nothing from the encoder but where the entries sit.
 :func:`oracle_reduced` and the sweep hand the encoder's support straight to
 the reduction, so no d^(2n+1) register is allocated on the oracle path.
 :func:`encode` scatters the support into a dense register, and
@@ -467,46 +469,18 @@ def _gram_plan(keys: np.ndarray, side: int) -> list[tuple[np.ndarray, np.ndarray
     return plan
 
 
-def reduce_support(
+def _reduce_blocks(
     index: np.ndarray, values: np.ndarray, d: int, n: int, subset: RegisterSubset
-) -> ReducedState | list[ReducedState]:
-    """Contract registers given by their support down to the selected qudits.
+) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """The Gram-block kernel of :func:`reduce_support`: each register's blocks.
 
-    ``index`` lists distinct flat indices into a register of d^(2n+1)
-    amplitudes, and ``values`` holds the amplitudes there: one row, which
-    gives one ReducedState, or a (samples, len(index)) array, which gives a
-    list with one state per row.  Every amplitude off ``index`` is zero.
-    The source qudit and every unselected qudit are traced out exactly,
-    without forming a density matrix.  Each entry's flat index splits into
-    a kept row and a traced column t, and rho = sum_t m_t m_t^H sums one
-    outer product per column over that column's nonzero rows.
-
-    The plan is read from where a register's entries are nonzero, once per
-    distinct pattern in the batch: the entries are sorted by column, then
-    by row, and the columns holding the same tuple of rows form a group,
-    whose c x c block of rho is the Gram of its K columns.  The groups of
-    one (c, K) shape are gathered into one complex (registers, groups, K, c)
-    array W, the slices of the factor m, and one batched complex matmul
-    gives every block, W^T conj(W).  Its Hermitian part is taken in place,
-    real part plus its transpose and imaginary part minus its transpose,
-    halved, and one scatter adds the blocks into rho at their rows.  An
-    aligned subset of an encoded register has one shape, c = d, with
-    disjoint row-sets; a dense register is one group, a dense Gram; an
-    irregular vector has many groups, whose overlapping blocks add up.
-    Every block is exactly Hermitian, since a + b = b + a and
-    a - b = -(b - a) in floating point and numpy reads an operand that
-    overlaps its output as if it had been copied, and entries (i, j) and
-    (j, i) of rho receive their adds in the same order, so rho is exactly
-    Hermitian.  A register's blocks depend only on its own nonzero entries,
-    so a batch row is bit-identical to a call of its own and to reducing
-    the dense register, whatever exact zeros or other indices ``index``
-    carries.  Beside its output the call holds O(samples x len(index))
-    sort and plan arrays, W and its conjugate, and per block shape the
-    blocks and their target indices: samples x sum_g c_g^2 numbers: at most
-    side^2 per register when the row-sets are disjoint, and at most
-    sum_t c_t^2, one per product of two entries of a column, when they
-    overlap.  Raises CapacityError when the kept side d^size exceeds
-    ``REDUCED_SIDE_LIMIT``.
+    Takes what ``reduce_support`` takes and returns one
+    ``(registers, rowsets, blocks)`` part per plan shape of each distinct
+    nonzero pattern in the batch: the batch rows that share the pattern,
+    the (groups, c) kept rows of each block, ascending within a block, and
+    the exactly Hermitian (len(registers), groups, c, c) blocks.  A
+    register's state is the sum of its parts' blocks added in at their
+    rows, which is all that :func:`reduce_support` does with them.
     """
     side = _kept_side(d, n, subset)
     size = 2 * n + 1
@@ -523,19 +497,16 @@ def reduce_support(
     keys = keys[order]
     if (keys[1:] == keys[:-1]).any():
         raise ValueError("flat indices must be distinct")
-    single = batch.ndim == 1
     batch = np.atleast_2d(batch)
     nonzero = (batch != 0)[:, order]
     patterns: dict[bytes, list[int]] = {}
     for reg, bits in enumerate(np.packbits(nonzero, axis=1)):
         patterns.setdefault(bits.tobytes(), []).append(reg)
-    out = np.zeros((len(batch), side, side), dtype=complex)
-    flat = out.reshape(-1)
+    parts = []
     for regs in patterns.values():
         mine = nonzero[regs[0]].nonzero()[0]
         source = batch if len(patterns) == 1 else batch[regs]
         at = order[mine]
-        lead = np.array(regs)[:, None, None, None] * side
         for rowsets, entries in _gram_plan(keys[mine], side):
             w = source.take(at[entries], axis=1)  # (registers, groups, K, c)
             gram = w.swapaxes(-1, -2) @ w.conj()
@@ -543,11 +514,73 @@ def reduce_support(
             re += re.swapaxes(-1, -2)
             im -= im.swapaxes(-1, -2)
             gram *= 0.5
-            target = ((lead + rowsets[:, :, None]) * side + rowsets[:, None, :]).ravel()
-            np.add.at(flat, target, gram.ravel())
-    labels = subset.kept_labels()
-    reduced = [ReducedState(d=d, labels=labels, matrix=m) for m in out]
+            parts.append((regs, rowsets, gram))
+    return parts
+
+
+def reduce_support(
+    index: np.ndarray, values: np.ndarray, d: int, n: int, subset: RegisterSubset
+) -> ReducedState | list[ReducedState]:
+    """Contract registers given by their support down to the selected qudits.
+
+    ``index`` lists distinct flat indices into a register of d^(2n+1)
+    amplitudes, and ``values`` holds the amplitudes there: one row, which
+    gives one ReducedState, or a (samples, len(index)) array, which gives a
+    list with one state per row.  Every amplitude off ``index`` is zero.
+    The source qudit and every unselected qudit are traced out exactly,
+    without forming a density matrix.  Each entry's flat index splits into
+    a kept row and a traced column t, and rho = sum_t m_t m_t^H sums one
+    outer product per column over that column's nonzero rows.
+
+    The kernel, ``_reduce_blocks``, reads the plan from where a register's
+    entries are nonzero, once per distinct pattern in the batch: the
+    entries are sorted by column, then by row, and the columns holding the
+    same tuple of rows form a group, whose c x c block of rho is the Gram
+    of its K columns.  The groups of one (c, K) shape are gathered into one
+    complex (registers, groups, K, c) array W, the slices of the factor m,
+    and one batched complex matmul gives every block, W^T conj(W).  Its
+    Hermitian part is taken in place, real part plus its transpose and
+    imaginary part minus its transpose, halved.  ``_scatter_blocks`` then
+    adds the blocks into rho at their rows with one scatter per block
+    shape; it is the only place where the oracle's blocks become a dense
+    state.  An aligned or authorized subset of an encoded register has one
+    shape with disjoint row-sets (c = d for an aligned one); a dense
+    register is one group, a dense Gram; an irregular vector has many
+    groups, whose overlapping blocks add up.  Every block is exactly
+    Hermitian, since a + b = b + a and a - b = -(b - a) in floating point
+    and numpy reads an operand that overlaps its output as if it had been
+    copied, and entries (i, j) and (j, i) of rho receive their adds in the
+    same order, so rho is exactly Hermitian.  A register's blocks depend
+    only on its own nonzero entries, so a batch row is bit-identical to a
+    call of its own and to reducing the dense register, whatever exact
+    zeros or other indices ``index`` carries.  Beside its output the call
+    holds O(samples x len(index)) sort and plan arrays, W and its
+    conjugate, and the blocks and their target indices: samples x
+    sum_g c_g^2 numbers: at most side^2 per register when the row-sets are
+    disjoint, and at most sum_t c_t^2, one per product of two entries of a
+    column, when they overlap.  Raises CapacityError when the kept side
+    d^size exceeds ``REDUCED_SIDE_LIMIT``.
+    """
+    parts = _reduce_blocks(index, values, d, n, subset)
+    single = np.ndim(values) == 1
+    reduced = _scatter_blocks(parts, 1 if single else len(values), d, subset)
     return reduced[0] if single else reduced
+
+
+def _scatter_blocks(
+    parts: list[tuple[list[int], np.ndarray, np.ndarray]], count: int, d: int,
+    subset: RegisterSubset,
+) -> list[ReducedState]:
+    """The ``count`` dense states of ``_reduce_blocks`` parts: one scatter per part."""
+    side = d**subset.size
+    out = np.zeros((count, side, side), dtype=complex)
+    flat = out.reshape(-1)
+    for regs, rowsets, gram in parts:
+        lead = np.array(regs)[:, None, None, None] * side
+        target = ((lead + rowsets[:, :, None]) * side + rowsets[:, None, :]).ravel()
+        np.add.at(flat, target, gram.ravel())
+    labels = subset.kept_labels()
+    return [ReducedState(d=d, labels=labels, matrix=m) for m in out]
 
 
 def oracle_reduced(psi: PureState, d: int, n: int, subset: RegisterSubset) -> ReducedState:

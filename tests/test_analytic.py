@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cloneleak import analytic
 from cloneleak.analytic import (
     LeakTerm,
+    _aligned_blocks,
     aligned_coefficient_exponent,
     aligned_reduced,
     _digits,
@@ -459,3 +461,33 @@ def test_capacity_errors_carry_what_size_and_limit():
         exc = info.value
         assert (exc.what, exc.size, exc.limit) == (what, size, limit)
         assert str(exc) == f"{what} = {size} exceeds limit {limit}"
+
+
+def test_aligned_reduced_is_its_orbit_blocks_added_in():
+    # on every aligned subset of d 2..6 x n 1..3 the orbits of side d
+    # partition the rows, and adding each block in at its rows gives the
+    # closed form bit for bit
+    for d, n in itertools.product(range(2, 7), (1, 2, 3)):
+        states = random_states(d, 2, seed=d * n)
+        for members in itertools.product((SIGNAL, NOISE), repeat=n):
+            sub = RegisterSubset(members)
+            rowsets, blocks = _aligned_blocks(d, sub, states)
+            side = d**n
+            assert rowsets.shape == (side // d, d) and blocks.shape == (2, side // d, d, d)
+            assert np.array_equal(np.sort(rowsets, axis=None), np.arange(side))
+            dense = np.zeros((2, side, side), dtype=complex)
+            for state, stack in zip(dense, blocks):
+                np.add.at(state, (rowsets[:, :, None], rowsets[:, None, :]), stack)
+            for mat, rho in zip(dense, aligned_reduced(d, sub, states)):
+                assert np.array_equal(mat, rho.matrix), (d, n, str(sub))
+
+
+def test_closed_forms_share_no_reduction_code_with_the_oracle():
+    # the sweep's cross-check means something only while the two routes
+    # are computed apart
+    oracle_names = {
+        "_column_keys", "_gram_plan", "_reduce_blocks", "_scatter_blocks", "encode",
+        "encode_support", "oracle_reduced", "reduce_encoded", "reduce_support",
+    }
+    assert not oracle_names & set(vars(analytic))
+    assert "protocol" not in vars(analytic)

@@ -34,6 +34,7 @@ from cloneleak.protocol import (
     encode,
     encode_support,
     reduce_encoded,
+    reduce_support,
 )
 from oracle_helpers import numeric_independence_test, scan_pairs
 
@@ -395,18 +396,30 @@ def test_run_sweep_aligned_grid_agrees():
 
 
 def test_run_sweep_all_family_agrees(monkeypatch):
-    # each row asks the dispatcher once, for all its samples at once
-    inner, calls = classify.analytic_reduced, []
+    # each row with a closed form asks for it once, for all its samples at
+    # once: an aligned row for its blocks, a missing-pair row the dispatcher
+    calls = []
 
-    def counted(d, subset, psi):
-        calls.append(len(psi))
-        return inner(d, subset, psi)
+    def counted(name):
+        inner = getattr(classify, name)
 
-    monkeypatch.setattr(classify, "analytic_reduced", counted)
+        def closed_form(d, subset, psi):
+            calls.append((name, str(subset), len(psi)))
+            return inner(d, subset, psi)
+
+        return closed_form
+
+    for name in ("analytic_reduced", "_aligned_blocks"):
+        monkeypatch.setattr(classify, name, counted(name))
     config = SweepConfig(dims=(2,), ns=(2,), family="all", samples=5, seed=4)
     report = run_sweep(config)
     assert len(report.rows) == 15
-    assert calls == [5] * 15
+    assert calls == [
+        ("_aligned_blocks" if sub(row.subset, 2).is_aligned else "analytic_reduced", row.subset, 5)
+        for row in report.rows
+        if not row.authorized
+    ]
+    assert len(calls) == 10
     assert report.all_agree
     verdicts = {row.verdict for row in report.rows}
     assert FULLY_INFORMATIVE in verdicts
@@ -513,13 +526,26 @@ def test_closed_form_gate_stays_exact_above_tol(monkeypatch):
 
     def perturbed(inner):
         def closed_form(*args):
-            out = inner(*args)  # the sweep asks for all aligned samples at once
-            return [bumped(state) for state in out] if isinstance(out, list) else bumped(out)
+            return bumped(inner(*args))
 
         return closed_form
 
-    for name in ("aligned_reduced", "missing_pair_subset_reduced"):
-        monkeypatch.setattr(classify, name, perturbed(getattr(classify, name)))
+    def bumped_blocks(inner):
+        # the same bump on an aligned row's blocks, which hold rows 0 and 1
+        def closed_form(*args):
+            rowsets, blocks = inner(*args)
+            blocks = blocks.copy()
+            for row, bump in ((0, 10 * tol), (1, -10 * tol)):
+                ((group, member),) = np.argwhere(rowsets == row)
+                blocks[:, group, member, member] += bump
+            return rowsets, blocks
+
+        return closed_form
+
+    monkeypatch.setattr(classify, "_aligned_blocks", bumped_blocks(classify._aligned_blocks))
+    monkeypatch.setattr(
+        classify, "missing_pair_subset_reduced", perturbed(classify.missing_pair_subset_reduced)
+    )
     d, n = 3, 2
     config = SweepConfig(dims=(d,), ns=(n,), samples=4, seed=5, tol=tol, witness=1e-6)
     for labels in ("S1,N2", "S1,N1"):  # aligned, then missing a pair
@@ -532,28 +558,29 @@ def test_closed_form_gate_stays_exact_above_tol(monkeypatch):
 
 
 def test_closed_form_entry_off_every_oracle_block_is_seen(monkeypatch):
-    # a Hermitian bump of 10*tol where every oracle state is exactly zero:
-    # the row's joint support carries it into the bound, and the pair's own
-    # pattern joins it into a block of the exact distance
+    # a Hermitian bump of 10*tol where every oracle state is exactly zero, on
+    # a missing-pair row, which takes the dense path: the row's joint
+    # support carries it into the bound, and the pair's own pattern joins it
+    # into a block of the exact distance.  An aligned closed form is its
+    # blocks, so it has no entry off them (see
+    # test_block_route_catches_a_closed_form_the_oracle_contradicts)
     tol = 1e-9
-    d, n, labels = 2, 3, "S1,N2,N3"  # g = 2: the oracle states leak
+    d, n, labels = 3, 3, "S1,N1,S2,N2"  # two whole pairs: not maximally mixed
     config = SweepConfig(dims=(d,), ns=(n,), samples=4, seed=5, tol=tol, witness=1e-6)
     states = random_states(d, config.samples, config.seed)
     oracle = [reduce_encoded(encode(psi, d, n), d, n, sub(labels, n)).matrix for psi in states]
     zero = np.logical_and.reduce([m == 0 for m in oracle])
     i, j = np.argwhere(zero)[0]
     assert i != j
-    inner = classify.aligned_reduced
+    inner = classify.missing_pair_subset_reduced
 
     def bumped(*args):
-        out = []
-        for state in inner(*args):
-            bump = np.zeros_like(state.matrix)
-            bump[i, j] = bump[j, i] = 10 * tol
-            out.append(ReducedState(state.d, state.labels, state.matrix + bump))
-        return out
+        state = inner(*args)
+        bump = np.zeros_like(state.matrix)
+        bump[i, j] = bump[j, i] = 10 * tol
+        return ReducedState(state.d, state.labels, state.matrix + bump)
 
-    monkeypatch.setattr(classify, "aligned_reduced", bumped)
+    monkeypatch.setattr(classify, "missing_pair_subset_reduced", bumped)
     row = replay(d, labels, n, config)
     assert not row.agree and "closed form disagrees with oracle" in row.note
     assert row.analytic_bound is False
@@ -627,7 +654,8 @@ def test_aligned_sweep_diagonalizes_only_input_dependent_rows(monkeypatch):
     # the exact maximum is taken in bound order, which stops early because a
     # leaking aligned difference has g eigenvalue levels of equal multiplicity:
     # at g = 2 its bound is exact, so the first pair settles the maximum.
-    # Each row splits its joint nonzero pattern into components once.
+    # An aligned row compares the oracle's Gram blocks directly, so it runs
+    # no component search.
     inner_distance, inner_row = classify._block_distance, classify.evaluate_subset
     inner_components = classify._components
     calls, searches = [], []
@@ -645,7 +673,7 @@ def test_aligned_sweep_diagonalizes_only_input_dependent_rows(monkeypatch):
     def row_clock(*args):
         before, searched_before = len(calls), len(searches)
         row = inner_row(*args)
-        assert len(searches) - searched_before == 1, row
+        assert len(searches) - searched_before == 0, row
         per_row.append((row, len(calls) - before))
         return row
 
@@ -665,11 +693,100 @@ def test_aligned_sweep_diagonalizes_only_input_dependent_rows(monkeypatch):
     assert sum(count for _, count in per_row) == 16
 
 
+def test_block_route_catches_a_closed_form_the_oracle_contradicts(monkeypatch):
+    # an aligned row reads its closed form from the orbit blocks alone; a
+    # block partition off the oracle's, or an entry off inside a block,
+    # must fail the row, not pass or raise
+    inner = classify._aligned_blocks
+
+    def moved(source):
+        def closed_form(*args):
+            rowsets, blocks = inner(*args)
+            rowsets = rowsets.copy()
+            rowsets[[0, 1], 0] = rowsets[source, 0]
+            return rowsets, blocks
+
+        return closed_form
+
+    def shifted(*args):
+        rowsets, blocks = inner(*args)
+        blocks = blocks.copy()
+        blocks[:, 0, 0, 1] += 1e-6
+        return rowsets, blocks
+
+    config = SweepConfig(dims=(3,), ns=(3,), samples=4, seed=5)
+    for labels in ("S1,S2,N3", "S1,N2,N3"):  # leaking, then maximally mixed
+        # one row changes block each way, then one row sits in two blocks
+        for source in ([1, 0], [0, 0]):
+            monkeypatch.setattr(classify, "_aligned_blocks", moved(source))
+            row = replay(3, labels, 3, config)
+            assert not row.agree and "block partition differs" in row.note, row
+        monkeypatch.setattr(classify, "_aligned_blocks", shifted)
+        row = replay(3, labels, 3, config)
+        assert not row.agree and "closed form disagrees with oracle" in row.note, row
+        assert row.analytic_bound is False and row.analytic_oracle_distance > config.tol
+
+
+def test_block_route_rows_match_the_dense_route(monkeypatch):
+    # every aligned and authorized row of d 2..4 x n 1..3 on the block route
+    # keeps the verdict, agree, note and bound fields it gets on the dense
+    # path, and each distance is within 1e-12 of the dense route's and of
+    # trace_distance on the dense states.  The side-4096 row is left out:
+    # its dense states take 268 MB each
+    def sweep(d, n):
+        subsets = [
+            str(RegisterSubset(members))
+            for members in itertools.product(MEMBERSHIPS, repeat=n)
+            if NONE not in members and d ** (n + members.count("both")) <= 1024
+        ]
+        config = SweepConfig(dims=(d,), ns=(n,), family="named", subsets=subsets, samples=4, seed=9)
+        return run_sweep(config).rows
+
+    shapes = list(itertools.product((2, 3, 4), (1, 2, 3)))
+    by_blocks = {shape: sweep(*shape) for shape in shapes}
+    monkeypatch.setattr(classify, "_block_stacks", lambda *args: None)
+    checked = 0
+    for d, n in shapes:
+        states = random_states(d, 4, 9)
+        support = encode_support(states, d, n)
+        for row, dense in zip(by_blocks[d, n], sweep(d, n)):
+            distances = dict(oracle_max_distance=None, analytic_oracle_distance=None)
+            assert dataclasses.replace(row, **distances) == dataclasses.replace(dense, **distances)
+            subset = sub(row.subset, n)
+            reduced = reduce_support(*support, d, n, subset)
+            checks = [("oracle_max", itertools.combinations(reduced, 2))]
+            if not row.authorized:
+                checks.append(("analytic", zip(aligned_reduced(d, subset, states), reduced)))
+            for name, pairs in checks:
+                field = "analytic_oracle_distance" if name == "analytic" else "oracle_max_distance"
+                value, bound = getattr(row, field), getattr(row, f"{name}_bound")
+                truth = max(trace_distance(a, b) for a, b in pairs)
+                assert abs(value - getattr(dense, field)) <= 1e-12, row
+                assert abs(value - truth) <= 1e-12 or (bound and truth <= value <= 1e-9), row
+            checked += 1
+    assert checked == 116
+
+
+def test_authorized_row_holds_no_dense_state():
+    # the d = 4, n = 3 authorized row is one 256-row block of a 4096 side:
+    # one dense state is 268 MB, and its ten blocks take 10.5 MB
+    config = SweepConfig(dims=(4,), ns=(3,), family="named", subsets=("S1,N1,S2,N2,S3,N3",))
+    tracemalloc.start()
+    try:
+        report = run_sweep(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_agree and not report.skipped
+    assert peak < 64 * 2**20
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_non_finite_closed_form_fails_its_row(monkeypatch, d):
     # a NaN must fail every gate it reaches (NaN compares false), and must
-    # not reach eigvalsh, which raises on it
-    inner = classify.analytic_reduced
+    # not reach eigvalsh, which raises on it; aligned rows take their closed
+    # forms as blocks, the others as dense states
+    inner, inner_blocks = classify.analytic_reduced, classify._aligned_blocks
 
     def poisoned(*args):
         closed = inner(*args)
@@ -682,7 +799,15 @@ def test_non_finite_closed_form_fails_its_row(monkeypatch, d):
             out.append(ReducedState(state.d, state.labels, matrix))
         return out
 
+    def poisoned_blocks(*args):
+        rowsets, blocks = inner_blocks(*args)
+        ((group, member),) = np.argwhere(rowsets == 0)
+        blocks = blocks.copy()
+        blocks[:, group, member, member] = np.nan
+        return rowsets, blocks
+
     monkeypatch.setattr(classify, "analytic_reduced", poisoned)
+    monkeypatch.setattr(classify, "_aligned_blocks", poisoned_blocks)
     for family in ("aligned", "all"):
         config = SweepConfig(dims=(d,), ns=(1, 2, 3), family=family, samples=4, seed=8)
         rows = [row for row in run_sweep(config).rows if not row.authorized]

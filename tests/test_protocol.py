@@ -10,7 +10,10 @@ from numpy.testing import assert_allclose
 from cloneleak.analytic import aligned_reduced
 from cloneleak.pauli import PauliWord, PureState, enc_coefficient_value, random_states
 from cloneleak.protocol import (
+    BOTH,
     ENCODER_DIM_LIMIT,
+    MEMBERSHIPS,
+    NONE,
     STATE_AMPLITUDE_LIMIT,
     CapacityError,
     ReducedState,
@@ -24,6 +27,7 @@ from cloneleak.protocol import (
     partial_trace,
     permute_subsystems,
     _encoder_tables,
+    _reduce_blocks,
     reduce_encoded,
     reduce_support,
 )
@@ -531,6 +535,32 @@ def test_reduce_encoded_memory_stays_near_the_register_when_one_qudit_is_kept(d,
     assert rho.dim == d
     assert peak < 8 * vec.nbytes
     assert abs(np.trace(rho.matrix) - 1) < 1e-12
+
+
+def test_reduce_support_scatters_the_kernel_blocks():
+    # every aligned and authorized subset of d 2..4 x n 1..3 reduces to one
+    # part holding every register, with disjoint row-sets, so writing each
+    # block at its rows (no add) gives reduce_support's state bit for bit.
+    # The one side-4096 subset is left out: its dense states take 268 MB
+    # each (the sweep's memory test covers it)
+    count = 0
+    for d, n in itertools.product((2, 3, 4), (1, 2, 3)):
+        states = random_states(d, 3, seed=d + n)
+        support = encode_support(states, d, n)
+        for members in itertools.product(MEMBERSHIPS, repeat=n):
+            if NONE in members or d ** (len(members) + members.count(BOTH)) > 1024:
+                continue
+            sub = RegisterSubset(members)
+            ((regs, rowsets, blocks),) = _reduce_blocks(*support, d, n, sub)
+            assert regs == [0, 1, 2]
+            side = d**sub.size
+            assert np.bincount(rowsets.ravel(), minlength=side).max() == 1
+            dense = np.zeros((3, side, side), dtype=complex)
+            dense[:, rowsets[:, :, None], rowsets[:, None, :]] = blocks
+            for mat, rho in zip(dense, reduce_support(*support, d, n, sub)):
+                assert np.array_equal(mat, rho.matrix), (d, n, str(sub))
+            count += 1
+    assert count == 116
 
 
 def test_reduce_support_validation():
