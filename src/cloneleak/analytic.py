@@ -138,8 +138,8 @@ def _aligned_blocks(
     The blocks are the orbits of ``_orbits``, whose (side/d, d) rows are
     ``rowsets``.  Term (a, b) writes, for each column, the entry whose row
     is a members further along the column's orbit, and the diagonal holds
-    the background 1/d^n.  The (states, side/d, d, d) blocks receive the
-    same adds in the same order as :func:`aligned_reduced`'s dense entries.
+    the background 1/d^n.  The (states, side/d, d, d) blocks are what
+    :func:`aligned_reduced`'s states hold.
     """
     if not subset.is_aligned:
         raise ValueError(f"subset {subset} is not aligned")
@@ -172,19 +172,16 @@ def aligned_reduced(
     c_i + a*s_i (mod d), with value <psi|X^a Z^b|psi>/d^n times the 2d-th
     root of unity exp(i*pi*(phase_exponent + 2*b*sum_i c_i)/d), so it is
     written entry by entry, d^n entries per term, with no matrix or
-    Kronecker product.  The entries are written into the state's blocks,
-    the orbits {c + t*s} of side d, by ``_aligned_blocks``, and the blocks
-    are written into a dense matrix at their rows.  A sequence of states
-    gives a list with one state per input, each bit-identical to the one
-    its input gives alone.  Raises CapacityError when the kept side d^size
-    exceeds ``REDUCED_SIDE_LIMIT``.
+    Kronecker product.  ``_aligned_blocks`` writes them into the orbits
+    {c + t*s}, blocks of side d, and the state holds those side*d entries at
+    their rows, no dense matrix.  A sequence of states gives a list with one
+    state per input, each bit-identical to the one its input gives alone.
+    Raises CapacityError when the kept side d^size exceeds
+    ``REDUCED_SIDE_LIMIT``.
     """
     rowsets, blocks = _aligned_blocks(d, subset, psi)
-    side = rowsets.size
-    acc = np.zeros((len(blocks), side, side), dtype=complex)
-    acc[:, rowsets[:, :, None], rowsets[:, None, :]] = blocks
     labels = subset.kept_labels()
-    reduced = [ReducedState(d=d, labels=labels, matrix=mat) for mat in acc]
+    reduced = [ReducedState(d, labels, parts=[(rowsets, mine)]) for mine in blocks]
     return reduced[0] if isinstance(psi, PureState) else reduced
 
 
@@ -215,8 +212,9 @@ def missing_pair_subset_reduced(d: int, n: int, subset: RegisterSubset) -> Reduc
     digit per kept qudit in canonical order; rho[r, c] = 1/d^(m+1+lone) when
     r and c share one shift k = S_i - N_i (mod d) over every kept pair i and
     agree on sum_i N_i mod d and on every lone digit, and 0 otherwise, so the
-    entries are exact.  For m = 0 it is I/d^size.  Raises CapacityError when
-    the kept side d^size exceeds ``REDUCED_SIDE_LIMIT``.
+    entries are exact.  The state is one constant block per class of equal
+    key (I/d^size as 1 x 1 blocks for m = 0), with no dense matrix.  Raises
+    CapacityError when the kept side d^size exceeds ``REDUCED_SIDE_LIMIT``.
     """
     require_dim(d)
     if subset.n != n:
@@ -227,15 +225,17 @@ def missing_pair_subset_reduced(d: int, n: int, subset: RegisterSubset) -> Reduc
     digits = _digits(d, len(kept))
     side = len(digits)
     pairs = subset.full_pairs
-    if not pairs:
-        return ReducedState(d=d, labels=kept, matrix=np.eye(side, dtype=complex) / side)
-    noise = digits[:, [kept.index(f"N{i}") for i in pairs]]
-    shift = (digits[:, [kept.index(f"S{i}") for i in pairs]] - noise) % d
-    rows = (shift == shift[:, :1]).all(axis=1).nonzero()[0]
-    key = shift[rows, 0] * d + noise[rows].sum(axis=1) % d
-    lone = [t for t, lab in enumerate(kept) if int(lab[1:]) not in pairs]
-    for t in lone:
-        key = key * d + digits[rows, t]
-    matrix = np.zeros((side, side), dtype=complex)
-    matrix[np.ix_(rows, rows)] = (key[:, None] == key) / d ** (len(pairs) + 1 + len(lone))
-    return ReducedState(d=d, labels=kept, matrix=matrix)
+    rowsets, value = np.arange(side)[:, None], 1 / side  # m = 0: I/d^size
+    if pairs:
+        noise = digits[:, [kept.index(f"N{i}") for i in pairs]]
+        shift = (digits[:, [kept.index(f"S{i}") for i in pairs]] - noise) % d
+        rows = (shift == shift[:, :1]).all(axis=1).nonzero()[0]
+        key = shift[rows, 0] * d + noise[rows].sum(axis=1) % d
+        lone = [t for t, lab in enumerate(kept) if int(lab[1:]) not in pairs]
+        for t in lone:
+            key = key * d + digits[rows, t]
+        # each class of equal key holds d^(m-1) rows, one per noise tuple of its sum
+        rowsets = rows[key.argsort(kind="stable")].reshape(-1, d ** (len(pairs) - 1))
+        value = 1 / d ** (len(pairs) + 1 + len(lone))
+    blocks = np.full((*rowsets.shape, rowsets.shape[1]), value, dtype=complex)
+    return ReducedState(d, kept, parts=[(rowsets, blocks)])

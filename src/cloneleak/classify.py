@@ -38,7 +38,7 @@ from .protocol import (
     MEMBERSHIPS,
     NONE,
     _reduce_blocks,
-    _scatter_blocks,
+    _register_states,
     encode_support,
     require_pairs,
 )
@@ -150,7 +150,8 @@ def _blocks(states: Sequence[ReducedState | np.ndarray]) -> list[np.ndarray]:
     so every difference of two, is zero off the blocks.  The pattern is read
     from exact zeros, so no tolerance decides it, and it holds every NaN.
     """
-    matrices = [_matrix(state) for state in states]
+    dense = {id(state): _matrix(state) for state in states}  # a repeated state once
+    matrices = [dense[id(state)] for state in states]
     pattern = matrices[0] != 0
     for matrix in matrices[1:]:
         pattern |= matrix != 0
@@ -511,19 +512,16 @@ def evaluate_subset(
     the CapacityError that stopped the shape from being encoded; such a row,
     and one whose oracle reduced states are too large, is skipped and its
     note gives the reason.  All registers are reduced in one
-    ``_reduce_blocks`` call, which ends at the oracle's Gram blocks.  An
-    aligned or authorized row compares those blocks directly (see
-    ``_block_stacks``), and no side x side array is formed.  Any other row
-    takes the dense path: a missing-pair row, an irregular plan, or a
-    closed form whose block partition differs from the oracle's.  There
-    the blocks are added into dense states, all closed forms come from one
-    ``analytic_reduced`` call, and one ``_blocks`` call finds and gathers
-    every compared state's blocks.  Either way each check is one
+    ``_reduce_blocks`` call.  An aligned or authorized row compares the
+    oracle's Gram blocks directly (see ``_block_stacks``) and forms no
+    side x side array.  Any other row (missing-pair, an irregular plan, or
+    a closed form whose partition differs) takes the dense path: its oracle
+    and ``analytic_reduced`` states are made dense once each, and one
+    ``_blocks`` call finds and gathers their blocks.  Each check is one
     ``_max_distance`` call naming its pairs by two index arrays into the
-    stacks.  ``tol`` and ``witness`` come from ``config``.  A distance at
-    or below ``tol`` may be reported as a certified upper bound (see
-    ``_max_distance``); its ``*_bound`` field says so.  A NaN distance
-    fails its gate and gets a note.
+    stacks, with ``tol`` and ``witness`` from ``config``; a distance at or
+    below ``tol`` may be a certified upper bound, which its ``*_bound``
+    field says.  A NaN distance fails its gate and gets a note.
     """
     tol, witness = config.tol, config.witness
     cls = classify_subset(d, subset)
@@ -558,7 +556,7 @@ def evaluate_subset(
         # against the REDUCED_SIDE_LIMIT that the kernel has just passed
         closed = analytic_reduced(d, subset, states) or []
         mixed = [maximally_mixed(d, subset.size)] if uninformative else []
-        stacks = _blocks([*_scatter_blocks(parts, count, d, subset), *closed, *mixed])
+        stacks = _blocks([*_register_states(parts, count, d, subset), *closed, *mixed])
     del parts
     own = np.arange(count)
     oracle_max, oracle_bound = _max_distance(stacks, *np.triu_indices(count, 1), side, tol, witness)

@@ -78,8 +78,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         print(json.dumps(state.to_dict(), indent=2, sort_keys=True))
         return 0
     print(f"reduced state over ({', '.join(state.labels)}), method={args.method}")
-    print(np.array2string(state.matrix, precision=6, suppress_small=True))
-    print(f"trace: {np.trace(state.matrix).real:.12f}  purity: {state.purity():.12f}")
+    matrix = state.matrix  # built afresh on each access
+    print(np.array2string(matrix, precision=6, suppress_small=True))
+    print(f"trace: {np.trace(matrix).real:.12f}  purity: {state.purity():.12f}")
     return 0
 
 

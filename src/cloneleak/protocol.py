@@ -18,14 +18,10 @@ a dense contraction costs d^(2n+3).  :func:`reduce_support` traces a
 register given as such a list of entries down to a subset, exactly and with
 no appeal to any closed form; the analytic module reproduces the reduced
 states the other way around, which is what makes the cross-check
-meaningful.  It multiplies only amplitudes that share a traced index:
-traced indices whose columns hold the same kept rows form one block of the
-reduced state, and each block is the Gram of its columns, taken for all
-blocks of a shape in one batched complex matmul, exactly Hermitian.  That
-kernel ends at the blocks and their rows; ``reduce_support`` adds them into
-dense states with one scatter per block shape, while a sweep row compares
-the blocks themselves.  The kernel drops the exact zeros itself, so it
-learns nothing from the encoder but where the entries sit.
+meaningful.  Traced indices whose columns hold the same kept rows form one
+block, the Gram of those columns, taken for all blocks of a shape in one
+batched complex matmul, exactly Hermitian.  A reduced state holds those
+blocks at their rows, and a sweep row compares them directly.
 :func:`oracle_reduced` and the sweep hand the encoder's support straight to
 the reduction, so no d^(2n+1) register is allocated on the oracle path.
 :func:`encode` scatters the support into a dense register, and
@@ -195,30 +191,60 @@ class RegisterSubset:
         return ",".join(self.kept_labels())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ReducedState:
-    """Density matrix over kept qudits, labels in canonical order."""
+    """Density matrix over kept qudits, labels in canonical order, held as its blocks.
+
+    ``parts`` holds read-only ``(rowsets, blocks)`` pairs: (G, c) kept rows
+    and the (G, c, c) blocks added in at them.  The reductions pass their
+    blocks as ``parts=``, taken over without a copy, and form no side^2
+    array; ``ReducedState(d, labels, matrix)`` keeps a private copy of a
+    dense matrix as one part over every row.  ``.matrix`` adds the parts
+    onto zeros in part order with ``np.add.at`` and returns a fresh
+    read-only array on each access, keeping none, so a caller that needs it
+    twice holds it.  States compare and hash by identity.
+    """
 
     d: int
     labels: tuple[str, ...]
-    matrix: np.ndarray
+    parts: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    def __post_init__(self) -> None:
-        require_dim(self.d)
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
-        mat = np.asarray(self.matrix, dtype=complex)
-        side = self.d ** len(labels)
-        if mat.shape != (side, side):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match {len(labels)} qudits of dimension {self.d}"
-            )
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+    def __init__(self, d: int, labels: Sequence[str], matrix: np.ndarray | None = None, *,
+                 parts: Sequence[tuple[np.ndarray, np.ndarray]] | None = None) -> None:
+        require_dim(d)
+        labels = tuple(labels)
+        side = d ** len(labels)
+        if parts is None:
+            mat = np.array(matrix, dtype=complex)  # a copy: the caller's array stays its own
+            if mat.shape != (side, side):
+                raise ValueError(f"matrix {mat.shape} does not fit {len(labels)} qudits of d={d}")
+            parts = [(np.arange(side)[None], mat[None])]
+        held = []
+        for rows, blocks in parts:
+            rows, blocks = np.asarray(rows).view(), np.asarray(blocks, dtype=complex).view()
+            fits = rows.ndim == 2 and blocks.shape == (*rows.shape, rows.shape[1])
+            if not fits or rows.size and not 0 <= rows.min() <= rows.max() < side:
+                raise ValueError(f"blocks {blocks.shape} at rows {rows.shape} misfit side {side}")
+            rows.flags.writeable = blocks.flags.writeable = False
+            held.append((rows, blocks))
+        for name, value in (("d", d), ("labels", labels), ("parts", tuple(held))):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.d ** len(self.labels)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense state, the parts added onto zeros afresh on each access."""
+        side = self.dim
+        out = np.zeros((side, side), dtype=complex)
+        for rows, blocks in self.parts:
+            rows = rows.astype(np.intp)  # a small row type would overflow rows * side
+            target = rows[:, :, None] * side + rows[:, None, :]
+            np.add.at(out.reshape(-1), target.ravel(), blocks.ravel())
+        out.flags.writeable = False
+        return out
 
     def purity(self) -> float:
         """tr(rho^2) as the entrywise sum of rho * rho^T, without a matmul."""
@@ -227,13 +253,14 @@ class ReducedState:
 
     def check(self, atol: float = 1e-10) -> "ReducedState":
         """Assert hermiticity, unit trace, and positivity; return self."""
-        dev = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        m = self.matrix
+        dev = float(np.max(np.abs(m - m.conj().T)))
         if dev > atol:
             raise ValueError(f"not hermitian: deviation {dev:.3e}")
-        tr = complex(np.trace(self.matrix))
+        tr = complex(np.trace(m))
         if abs(tr - 1.0) > atol:
             raise ValueError(f"trace is {tr!r}, expected 1")
-        lo = float(np.min(np.linalg.eigvalsh(self.matrix)))
+        lo = float(np.min(np.linalg.eigvalsh(m)))
         if lo < -atol:
             raise ValueError(f"negative eigenvalue {lo:.3e}")
         return self
@@ -528,59 +555,33 @@ def reduce_support(
     gives one ReducedState, or a (samples, len(index)) array, which gives a
     list with one state per row.  Every amplitude off ``index`` is zero.
     The source qudit and every unselected qudit are traced out exactly,
-    without forming a density matrix.  Each entry's flat index splits into
-    a kept row and a traced column t, and rho = sum_t m_t m_t^H sums one
-    outer product per column over that column's nonzero rows.
-
-    The kernel, ``_reduce_blocks``, reads the plan from where a register's
-    entries are nonzero, once per distinct pattern in the batch: the
-    entries are sorted by column, then by row, and the columns holding the
-    same tuple of rows form a group, whose c x c block of rho is the Gram
-    of its K columns.  The groups of one (c, K) shape are gathered into one
-    complex (registers, groups, K, c) array W, the slices of the factor m,
-    and one batched complex matmul gives every block, W^T conj(W).  Its
-    Hermitian part is taken in place, real part plus its transpose and
-    imaginary part minus its transpose, halved.  ``_scatter_blocks`` then
-    adds the blocks into rho at their rows with one scatter per block
-    shape; it is the only place where the oracle's blocks become a dense
-    state.  An aligned or authorized subset of an encoded register has one
-    shape with disjoint row-sets (c = d for an aligned one); a dense
-    register is one group, a dense Gram; an irregular vector has many
-    groups, whose overlapping blocks add up.  Every block is exactly
-    Hermitian, since a + b = b + a and a - b = -(b - a) in floating point
-    and numpy reads an operand that overlaps its output as if it had been
-    copied, and entries (i, j) and (j, i) of rho receive their adds in the
-    same order, so rho is exactly Hermitian.  A register's blocks depend
-    only on its own nonzero entries, so a batch row is bit-identical to a
-    call of its own and to reducing the dense register, whatever exact
-    zeros or other indices ``index`` carries.  Beside its output the call
-    holds O(samples x len(index)) sort and plan arrays, W and its
-    conjugate, and the blocks and their target indices: samples x
-    sum_g c_g^2 numbers: at most side^2 per register when the row-sets are
-    disjoint, and at most sum_t c_t^2, one per product of two entries of a
-    column, when they overlap.  Raises CapacityError when the kept side
-    d^size exceeds ``REDUCED_SIDE_LIMIT``.
+    without forming a density matrix: rho = sum_t m_t m_t^H over the traced
+    columns t.  The kernel, ``_reduce_blocks``, groups the columns that hold
+    the same tuple of nonzero rows; a group's c x c block of rho is the Gram
+    of its K columns, W^T conj(W) for every group of one (c, K) shape in one
+    batched matmul, with its Hermitian part taken in place, so each block
+    and ``.matrix`` are exactly Hermitian.  Each state holds its register's
+    blocks at their rows and no dense matrix: one shape with disjoint
+    row-sets on an aligned (c = d) or authorized subset of an encoded
+    register, one dense Gram on a dense register, and overlapping groups on
+    an irregular vector, which add up in ``.matrix``.  A register's blocks
+    depend only on its own nonzero entries, so a batch row is bit-identical
+    to a call of its own and to reducing the dense register.  Raises
+    CapacityError when the kept side d^size exceeds ``REDUCED_SIDE_LIMIT``.
     """
     parts = _reduce_blocks(index, values, d, n, subset)
     single = np.ndim(values) == 1
-    reduced = _scatter_blocks(parts, 1 if single else len(values), d, subset)
+    reduced = _register_states(parts, 1 if single else len(values), d, subset)
     return reduced[0] if single else reduced
 
 
-def _scatter_blocks(
-    parts: list[tuple[list[int], np.ndarray, np.ndarray]], count: int, d: int,
-    subset: RegisterSubset,
-) -> list[ReducedState]:
-    """The ``count`` dense states of ``_reduce_blocks`` parts: one scatter per part."""
-    side = d**subset.size
-    out = np.zeros((count, side, side), dtype=complex)
-    flat = out.reshape(-1)
+def _register_states(parts: list, count: int, d: int, subset: RegisterSubset) -> list[ReducedState]:
+    """The ``count`` states of ``_reduce_blocks`` parts, each holding its own blocks."""
+    own: list[list] = [[] for _ in range(count)]
     for regs, rowsets, gram in parts:
-        lead = np.array(regs)[:, None, None, None] * side
-        target = ((lead + rowsets[:, :, None]) * side + rowsets[:, None, :]).ravel()
-        np.add.at(flat, target, gram.ravel())
-    labels = subset.kept_labels()
-    return [ReducedState(d=d, labels=labels, matrix=m) for m in out]
+        for reg, blocks in zip(regs, gram):
+            own[reg].append((rowsets, blocks))
+    return [ReducedState(d, subset.kept_labels(), parts=mine) for mine in own]
 
 
 def oracle_reduced(psi: PureState, d: int, n: int, subset: RegisterSubset) -> ReducedState:

@@ -4,7 +4,9 @@
 signal qudit at n = 1, and ``numeric_independence_test`` takes the exact
 largest pairwise trace distance of oracle states, one ``trace_distance``
 per pair, with no bound in between.  ``bell_state`` is the pair state the
-encoder prepares, written out as a vector for the dense reference routes.
+encoder prepares, written out as a vector for the dense reference routes,
+and ``dense_reduced`` is the dense route itself: the whole register, with
+no support, plan or block in between.
 ``scan_pairs`` runs the sweep's comparison, ``classify._max_distance``, on
 any list of pairs of states.
 """
@@ -43,6 +45,14 @@ def single_clone_reduced(psi: PureState, d: int) -> ReducedState:
         word = PauliWord(d, a=a, b=-a)
         acc += phase_value(d, -2 * a * a) * expectation(psi, word) * word.matrix()
     return ReducedState(d=d, labels=("S1",), matrix=acc / d)
+
+
+def dense_reduced(psi: PureState, d: int, n: int, subset: RegisterSubset) -> np.ndarray:
+    """The reduced state as m @ m^H, m the dense register with its kept axes as rows."""
+    kept = subset.kept_axes()
+    tensor = encode(psi, d, n).reshape((d,) * (2 * n + 1))
+    m = np.moveaxis(tensor, kept, range(len(kept))).reshape(d ** len(kept), -1)
+    return m @ m.conj().T
 
 
 class IndependenceResult(NamedTuple):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cloneleak.analytic import aligned_reduced
+from cloneleak.analytic import aligned_reduced, missing_pair_subset_reduced
 from cloneleak.pauli import PauliWord, PureState, enc_coefficient_value, random_states
 from cloneleak.protocol import (
     BOTH,
@@ -31,7 +31,7 @@ from cloneleak.protocol import (
     reduce_encoded,
     reduce_support,
 )
-from oracle_helpers import bell_state
+from oracle_helpers import bell_state, dense_reduced
 
 
 def test_bell_state_amplitudes():
@@ -496,6 +496,77 @@ def test_reduce_encoded_keeps_batch_rows_apart():
             for vec, rho in zip(batch, reduce_encoded(batch, d, n, sub)):
                 viamat = partial_trace(np.outer(vec, vec.conj()), (d,) * (2 * n + 1), keep)
                 assert_allclose(rho.matrix, viamat, rtol=0, atol=1e-15)
+
+
+def test_reduced_state_copies_the_callers_matrix():
+    # the state once took the caller's own complex array and made it read-only
+    m = np.eye(2, dtype=complex) / 2
+    rho = ReducedState(2, ("S1",), m)
+    m[0, 0] = 1
+    assert m.flags.writeable
+    assert rho.matrix[0, 0] == 0.5
+    with pytest.raises(ValueError):
+        ReducedState(2, ("S1",), parts=[(np.array([[0, 1]]), np.eye(2)[None, :1])])
+    with pytest.raises(ValueError):
+        ReducedState(2, ("S1",), parts=[(np.array([[0, 2]]), np.eye(2)[None])])
+
+
+def test_reduced_states_compare_and_hash_by_identity():
+    # two distinct states once raised on == (an ambiguous array truth value)
+    # and on hash (an unhashable array field)
+    a = ReducedState(2, ("S1",), np.eye(2) / 2)
+    b = ReducedState(2, ("S1",), np.eye(2) / 2)
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2 and {a: 1, b: 2}[b] == 2
+    assert hash(a) == hash(a)
+
+
+def _held(state: ReducedState) -> int:
+    return sum(blocks.size for _, blocks in state.parts)
+
+
+def test_reduced_states_hold_their_blocks_and_no_dense_matrix():
+    # an aligned (7,3) state is 49 orbit blocks of 7 x 7, 38 KB of a dense
+    # 1.9 MB; the d = 4, n = 3 authorized state is one 256 x 256 block of a
+    # side of 4096, 1 MB of a dense 268 MB
+    psi = random_states(7, 1, seed=4)[0]
+    sub = RegisterSubset.from_labels("S1,N2,S3", 3)
+    for rho in (oracle_reduced(psi, 7, 3, sub), aligned_reduced(7, sub, psi)):
+        assert _held(rho) <= rho.dim * 7
+        matrix = rho.matrix
+        assert set(vars(rho)) == {"d", "labels", "parts"}
+        assert _held(rho) <= rho.dim * 7 and rho.matrix is not matrix
+    sub = RegisterSubset.from_labels("S1,N1,S2,N2,S3,N3", 3)
+    rho = oracle_reduced(random_states(4, 1, seed=4)[0], 4, 3, sub)
+    assert sum(blocks.nbytes for _, blocks in rho.parts) <= 1.1e6
+
+
+def test_block_held_states_match_the_dense_route():
+    # every aligned and missing-pair subset of d 2..5 x n 1..3, and aligned
+    # subsets of the benchmark's larger oracle shapes.  At d = 5, n = 2 the
+    # kernel's rows are uint8 and side 25, so rows * side overflows unless
+    # it is widened.  The aligned closed form is not exactly Hermitian (its
+    # +a and -a terms come from separate expectations), so it is held to the
+    # dense route alone
+    cases = [(d, n, members) for d in (2, 3, 4, 5) for n in (1, 2, 3)
+             for members in itertools.product(MEMBERSHIPS, repeat=n)
+             if set(members) != {NONE} and (NONE in members or BOTH not in members)]
+    cases += [(d, n, ("signal",) * p + ("noise",) * (n - p))
+              for d, n in ((7, 3), (4, 4), (3, 5), (2, 8)) for p in range(n + 1)]
+    for d, n, members in cases:
+        sub = RegisterSubset(members)
+        psi = random_states(d, 1, seed=d * n)[0]
+        dense = dense_reduced(psi, d, n, sub)
+        closed = (missing_pair_subset_reduced(d, n, sub) if NONE in members
+                  else aligned_reduced(d, sub, psi))
+        for rho in (oracle_reduced(psi, d, n, sub), closed):
+            first, second = rho.matrix, rho.matrix
+            assert first is not second and not np.shares_memory(first, second)
+            assert not first.flags.writeable and np.array_equal(first, second)
+            assert np.max(np.abs(first - dense)) <= 1e-12, (d, n, members)
+            if rho is not closed or NONE in members:
+                assert np.array_equal(first, first.conj().T), (d, n, members)
+    assert len(cases) == 4 * 56 + 4 + 5 + 6 + 9
 
 
 def test_reduce_encoded_memory_stays_near_the_output_on_dense_input():
