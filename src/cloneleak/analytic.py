@@ -138,8 +138,9 @@ def _aligned_blocks(
     The blocks are the orbits of ``_orbits``, whose (side/d, d) rows are
     ``rowsets``.  Term (a, b) writes, for each column, the entry whose row
     is a members further along the column's orbit, and the diagonal holds
-    the background 1/d^n.  The (states, side/d, d, d) blocks are what
-    :func:`aligned_reduced`'s states hold.
+    the background 1/d^n.  Each block is then replaced by its Hermitian
+    part, so the state is exactly Hermitian.  The (states, side/d, d, d)
+    blocks are what :func:`aligned_reduced`'s states hold.
     """
     if not subset.is_aligned:
         raise ValueError(f"subset {subset} is not aligned")
@@ -157,6 +158,13 @@ def _aligned_blocks(
         values = roots[(term.phase_exponent + 2 * term.b * digit_sum) % (2 * d)]
         scale = np.array([expectation(state, sig) for state in states]) / side
         blocks[:, :, (members + term.a) % d, members] += scale[:, None, None] * values
+    # entries (r, c) and (c, r) come from the expectations of two different
+    # words, equal only up to rounding: keep the Hermitian part, so that
+    # each block is exactly Hermitian (numpy copies an overlapping operand)
+    re, im = blocks.real, blocks.imag
+    re += re.swapaxes(-1, -2)
+    im -= im.swapaxes(-1, -2)
+    blocks *= 0.5
     return rowsets, blocks
 
 

@@ -24,6 +24,17 @@ batched complex matmul, exactly Hermitian.  A reduced state holds those
 blocks at their rows, and a sweep row compares them directly.
 :func:`oracle_reduced` and the sweep hand the encoder's support straight to
 the reduction, so no d^(2n+1) register is allocated on the oracle path.
+
+Everything that depends only on the shape is built once and kept: the
+encoder's word tables per d, its n-fold pattern products and flat indices
+per (d, n), and the Gram plan of the encoder's support per (d, n, kept
+axes), which row-sets each block has and where its entries sit in the
+support.  The last two share the byte bound ``ORACLE_CACHE_BYTES``, fill on
+first use and hold no value of any state.  A request pays only for its own
+amplitudes: the word images of its state and their contraction in the
+encoder, and in the reduction the gather, the batched Gram product and its
+Hermitian part.  A support other than the encoder's, or a register with
+exact zeros, is planned afresh by the same code that builds the kept plans.
 :func:`encode` scatters the support into a dense register, and
 :func:`reduce_encoded` scans a dense register for its nonzeros and reduces
 them by the same kernel, so it is exact for any vector.
@@ -36,6 +47,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -54,6 +67,11 @@ from .pauli import PauliWord, PureState, enc_coefficient_value, require_states
 ENCODER_DIM_LIMIT = 4096
 STATE_AMPLITUDE_LIMIT = 10_000_000
 REDUCED_SIDE_LIMIT = 4096
+# ORACLE_CACHE_BYTES bounds the arrays that the oracle keeps between calls,
+# its support tables of each (d, n) and its plans of each (d, n, kept axes)
+# together: room for the largest support table the register guard admits
+# (9.4 MB) and one plan of it (2.3 MB).
+ORACLE_CACHE_BYTES = 12_000_000
 
 NONE, SIGNAL, NOISE, BOTH = "none", "signal", "noise", "both"
 MEMBERSHIPS = (NONE, SIGNAL, NOISE, BOTH)
@@ -334,6 +352,77 @@ def _encoder_tables(d: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
+class _ByteCache:
+    """Read-only arrays kept between calls under a byte bound, least recent evicted.
+
+    A value is stored with the arrays it holds, whose ``nbytes`` count
+    against ``limit`` and which are made read-only; one that alone exceeds
+    ``limit`` is not kept.  Entries fill on first use.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit, self.held = limit, 0
+        self.entries: OrderedDict = OrderedDict()  # key -> (nbytes, value)
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        """The value kept under ``key``, now the most recent, or None."""
+        with self.lock:
+            hit = self.entries.get(key)
+            if hit is None:
+                return None
+            self.entries.move_to_end(key)
+            return hit[1]
+
+    def put(self, key, value, arrays: Iterable[np.ndarray]) -> None:
+        """Keep ``value``, evicting the least recent entries until it fits."""
+        arrays = list(arrays)
+        for array in arrays:  # every later caller shares them
+            array.flags.writeable = False
+        size = sum(array.nbytes for array in arrays)
+        with self.lock:
+            if size > self.limit or key in self.entries:
+                return
+            while self.held + size > self.limit:
+                _, (freed, _) = self.entries.popitem(last=False)
+                self.held -= freed
+            self.entries[key] = (size, value)
+            self.held += size
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.held = 0
+
+
+_TABLES = _ByteCache(ORACLE_CACHE_BYTES)
+
+
+def _support_tables(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-(d, n) tables of :func:`encode_support`, built once and read-only.
+
+    Returns ``(tail, index)``: the n-fold products of each group's pair
+    factor over its pattern, (group, branch, d^n), and the flat index of
+    every support amplitude, d^(n+2) of them.  Together they take
+    24 * d^(n+2) bytes, at most 9.4 MB at (25, 2), the largest support the
+    register guard admits.  Kept in ``_TABLES``: ``_reduce_blocks`` compares
+    a support's index with this one, and ``encode_support`` hands out a copy.
+    """
+    key = ("support", d, n)
+    tables = _TABLES.get(key)
+    if tables is None:
+        _, _, members, cells, factor = _encoder_tables(d)
+        # n-fold products over each pattern, and their flat offsets past axis A
+        tail, offsets = factor, cells
+        for _ in range(n - 1):
+            tail = (tail[..., None] * factor[:, :, None, :]).reshape(*members.shape, -1)
+            offsets = (offsets[:, :, None] * d * d + cells[:, None, :]).reshape(len(cells), -1)
+        index = (np.arange(d)[:, None] * d ** (2 * n) + offsets[:, None, :]).reshape(-1)
+        tables = (tail, index)
+        _TABLES.put(key, tables, tables)
+    return tables
+
+
 def encode_support(
     psi: PureState | Sequence[PureState], d: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -347,36 +436,35 @@ def encode_support(
     and one contraction over the group's branches gives its d^(n+1)
     amplitudes.  That is about d^(n+3) products per state, against
     d^(2n+3) for a dense contraction, and neither the encoder nor the
-    d^(2n+1) register is materialized.  The word, coefficient and group
-    tables depend on d alone and are built once per d by ``_encoder_tables``.
+    d^(2n+1) register is materialized.  Nothing here depends on a state but
+    the d^2 word images of each state and that contraction: the word,
+    coefficient and group tables are built once per d by
+    ``_encoder_tables``, and the n-fold pattern products and the flat
+    indices once per (d, n) by ``_support_tables``.
 
     Returns ``(index, values)``: the d^(n+2) distinct flat indices of the
     support in the layout of :func:`encode`, in no particular order, and
     the amplitudes at them, one row of d^(n+2) per state for a sequence
-    (1-D for a single state).  An amplitude may be an exact zero.  Each
-    state's products are matrix products of a fixed shape of its own, so a
-    row is bit-identical to encoding its state alone.  Raises TypeError for
-    anything but a PureState or a Sequence of them, and CapacityError when
-    the register d^(2n+1), whose layout the indices address, or the d^2 x d^2
-    pair table, the larger object at n = 1, exceeds ``STATE_AMPLITUDE_LIMIT``.
+    (1-D for a single state).  Both arrays are the caller's own.  An
+    amplitude may be an exact zero.  Each state's products are matrix
+    products of a fixed shape of its own, so a row is bit-identical to
+    encoding its state alone.  Raises TypeError for anything but a
+    PureState or a Sequence of them, and CapacityError when the register
+    d^(2n+1), whose layout the indices address, or the d^2 x d^2 pair
+    table, the larger object at n = 1, exceeds ``STATE_AMPLITUDE_LIMIT``.
     """
     require_dim(d)
     require_pairs(n)
     states = require_states(psi, d)
     require_capacity("register size d^(2n+1)", d ** (2 * n + 1), STATE_AMPLITUDE_LIMIT)
     require_capacity("encoder pair table d^4", d**4, STATE_AMPLITUDE_LIMIT)
-    words, coeffs, members, cells, factor = _encoder_tables(d)
-    # n-fold products over each pattern, and their flat offsets past axis A
-    tail, offsets = factor, cells
-    for _ in range(n - 1):
-        tail = (tail[..., None] * factor[:, :, None, :]).reshape(*members.shape, -1)
-        offsets = (offsets[:, :, None] * d * d + cells[:, None, :]).reshape(len(cells), -1)
+    words, coeffs, members, _, _ = _encoder_tables(d)
+    tail, index = _support_tables(d, n)
     amps = np.array([state.amplitudes for state in states], dtype=complex).reshape(-1, d, 1)
     heads = coeffs[:, None] * (words.reshape(-1, d) @ amps).reshape(-1, d * d, d)
     values = heads[:, members].swapaxes(2, 3) @ tail  # (state, group, A, pattern product)
-    index = (np.arange(d)[:, None] * d ** (2 * n) + offsets[:, None, :]).reshape(-1)
     values = values.reshape(len(states), index.size)
-    return index, values[0] if isinstance(psi, PureState) else values
+    return index.copy(), values[0] if isinstance(psi, PureState) else values
 
 
 def encode(psi: PureState | Sequence[PureState], d: int, n: int) -> np.ndarray:
@@ -496,6 +584,61 @@ def _gram_plan(keys: np.ndarray, side: int) -> list[tuple[np.ndarray, np.ndarray
     return plan
 
 
+def _support_plan(
+    index: np.ndarray, nonzero: np.ndarray, d: int, n: int, subset: RegisterSubset
+) -> list[tuple[list[int], list[tuple[np.ndarray, np.ndarray]]]]:
+    """Plan the Gram blocks of registers whose nonzero entries ``nonzero`` marks.
+
+    ``index`` lists the flat indices of the support, checked here to be in
+    range and distinct, and ``nonzero`` holds one row of flags over it per
+    register.  Registers with one nonzero pattern share one plan: returns
+    ``(registers, steps)`` per pattern, with one ``(rowsets, gather)`` step
+    per block shape: the (groups, c) kept rows of each block and the
+    (groups, K, c) positions in ``index`` of the entries summed into it.
+    """
+    side, size = d**subset.size, 2 * n + 1
+    if len(index) and not 0 <= index.min() <= index.max() < d**size:
+        raise ValueError(f"flat indices must lie in 0..{d**size - 1}")
+    keys = _column_keys(index, d, size, subset.kept_axes())
+    order = keys.argsort(kind="stable")  # by column, then by row
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError("flat indices must be distinct")
+    nonzero = nonzero[:, order]
+    patterns: dict[bytes, list[int]] = {}
+    for reg, bits in enumerate(np.packbits(nonzero, axis=1)):
+        patterns.setdefault(bits.tobytes(), []).append(reg)
+    plans = []
+    for regs in patterns.values():
+        mine = nonzero[regs[0]].nonzero()[0]
+        at = order[mine]
+        steps = [(rowsets, at[entries]) for rowsets, entries in _gram_plan(keys[mine], side)]
+        plans.append((regs, steps))
+    return plans
+
+
+def _encoded_plan(
+    index: np.ndarray, d: int, n: int, subset: RegisterSubset
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The steps of ``_support_plan`` for the encoder's support, every entry nonzero.
+
+    ``index`` is ``_support_tables(d, n)``'s.  Built once per (d, n,
+    ``subset.kept_axes()``) by ``_support_plan`` itself and held in
+    ``_TABLES`` with each gather in the smallest unsigned type that holds
+    its positions.  A plan holds one gather position (at most 4 bytes) and
+    at most one row (2 bytes, rows lying below ``REDUCED_SIDE_LIMIT``) per
+    support entry, so it takes at most 6 * d^(n+2) bytes, 2.3 MB at (25, 2).
+    """
+    key = ("plan", d, n, subset.kept_axes())
+    steps = _TABLES.get(key)
+    if steps is None:
+        ((_, steps),) = _support_plan(index, np.ones((1, len(index)), bool), d, n, subset)
+        compact = np.min_scalar_type(len(index) - 1)
+        steps = tuple((rows, gather.astype(compact)) for rows, gather in steps)
+        _TABLES.put(key, steps, [array for step in steps for array in step])
+    return steps
+
+
 def _reduce_blocks(
     index: np.ndarray, values: np.ndarray, d: int, n: int, subset: RegisterSubset
 ) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
@@ -507,35 +650,29 @@ def _reduce_blocks(
     the (groups, c) kept rows of each block, ascending within a block, and
     the exactly Hermitian (len(registers), groups, c, c) blocks.  A
     register's state is the sum of its parts' blocks added in at their
-    rows, which is all that :func:`reduce_support` does with them.
+    rows, which is all that :func:`reduce_support` does with them.  When
+    ``index`` is the encoder's own for (d, n) and no register holds an
+    exact zero, the plan is ``_encoded_plan``'s; any other support is
+    planned afresh by ``_support_plan``, which builds that plan too.
     """
-    side = _kept_side(d, n, subset)
-    size = 2 * n + 1
+    _kept_side(d, n, subset)
     index = np.asarray(index)
     batch = np.asarray(values, dtype=complex)
     if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
         raise ValueError(f"expected a 1-D array of flat indices, got {index.dtype} {index.shape}")
     if batch.ndim not in (1, 2) or batch.shape[-1] != len(index):
         raise ValueError(f"expected amplitudes at {len(index)} indices, got shape {batch.shape}")
-    if len(index) and not 0 <= index.min() <= index.max() < d**size:
-        raise ValueError(f"flat indices must lie in 0..{d**size - 1}")
-    keys = _column_keys(index, d, size, subset.kept_axes())
-    order = keys.argsort(kind="stable")  # by column, then by row
-    keys = keys[order]
-    if (keys[1:] == keys[:-1]).any():
-        raise ValueError("flat indices must be distinct")
     batch = np.atleast_2d(batch)
-    nonzero = (batch != 0)[:, order]
-    patterns: dict[bytes, list[int]] = {}
-    for reg, bits in enumerate(np.packbits(nonzero, axis=1)):
-        patterns.setdefault(bits.tobytes(), []).append(reg)
+    encoded = _TABLES.get(("support", d, n))
+    if len(batch) and encoded is not None and np.array_equal(index, encoded[1]) and batch.all():
+        plans = [(list(range(len(batch))), _encoded_plan(encoded[1], d, n, subset))]
+    else:
+        plans = _support_plan(index, batch != 0, d, n, subset)
     parts = []
-    for regs in patterns.values():
-        mine = nonzero[regs[0]].nonzero()[0]
-        source = batch if len(patterns) == 1 else batch[regs]
-        at = order[mine]
-        for rowsets, entries in _gram_plan(keys[mine], side):
-            w = source.take(at[entries], axis=1)  # (registers, groups, K, c)
+    for regs, steps in plans:
+        source = batch if len(plans) == 1 else batch[regs]
+        for rowsets, gather in steps:
+            w = source.take(gather, axis=1)  # (registers, groups, K, c)
             gram = w.swapaxes(-1, -2) @ w.conj()
             re, im = gram.real, gram.imag  # numpy copies an overlapping operand
             re += re.swapaxes(-1, -2)
@@ -557,17 +694,21 @@ def reduce_support(
     The source qudit and every unselected qudit are traced out exactly,
     without forming a density matrix: rho = sum_t m_t m_t^H over the traced
     columns t.  The kernel, ``_reduce_blocks``, groups the columns that hold
-    the same tuple of nonzero rows; a group's c x c block of rho is the Gram
-    of its K columns, W^T conj(W) for every group of one (c, K) shape in one
-    batched matmul, with its Hermitian part taken in place, so each block
-    and ``.matrix`` are exactly Hermitian.  Each state holds its register's
-    blocks at their rows and no dense matrix: one shape with disjoint
-    row-sets on an aligned (c = d) or authorized subset of an encoded
-    register, one dense Gram on a dense register, and overlapping groups on
-    an irregular vector, which add up in ``.matrix``.  A register's blocks
-    depend only on its own nonzero entries, so a batch row is bit-identical
-    to a call of its own and to reducing the dense register.  Raises
-    CapacityError when the kept side d^size exceeds ``REDUCED_SIDE_LIMIT``.
+    the same tuple of nonzero rows; that plan depends on ``index``, the
+    subset and where the amplitudes are zero, and for the encoder's own
+    support with no zero amplitude it is built once per (d, n, subset) and
+    kept, so a call pays only for the gather and the products below.  A
+    group's c x c block of rho is the Gram of its K columns, W^T conj(W) for
+    every group of one (c, K) shape in one batched matmul, with its
+    Hermitian part taken in place, so each block and ``.matrix`` are exactly
+    Hermitian.  Each state holds its register's blocks at their rows and no
+    dense matrix: one shape with disjoint row-sets on an aligned (c = d) or
+    authorized subset of an encoded register, one dense Gram on a dense
+    register, and overlapping groups on an irregular vector, which add up in
+    ``.matrix``.  A register's blocks depend only on its own nonzero
+    entries, so a batch row is bit-identical to a call of its own and to
+    reducing the dense register.  Raises CapacityError when the kept side
+    d^size exceeds ``REDUCED_SIDE_LIMIT``.
     """
     parts = _reduce_blocks(index, values, d, n, subset)
     single = np.ndim(values) == 1

@@ -482,12 +482,28 @@ def test_aligned_reduced_is_its_orbit_blocks_added_in():
                 assert np.array_equal(mat, rho.matrix), (d, n, str(sub))
 
 
+def test_aligned_states_are_exactly_hermitian():
+    # entries (r, c) and (c, r) of a term come from two words' expectations,
+    # equal only up to rounding, on 15 of these 56 subsets before the
+    # closed form took its blocks' Hermitian part
+    count = 0
+    for d, n in itertools.product(range(2, 6), (1, 2, 3)):
+        states = random_states(d, 3, seed=5 * d + n)
+        for members in itertools.product((SIGNAL, NOISE), repeat=n):
+            for rho in aligned_reduced(d, RegisterSubset(members), states):
+                m = rho.matrix
+                assert np.array_equal(m, m.conj().T), (d, n, members)
+            count += 1
+    assert count == 56
+
+
 def test_closed_forms_share_no_reduction_code_with_the_oracle():
     # the sweep's cross-check means something only while the two routes
     # are computed apart
     oracle_names = {
         "_column_keys", "_gram_plan", "_reduce_blocks", "_scatter_blocks", "encode",
         "encode_support", "oracle_reduced", "reduce_encoded", "reduce_support",
+        "_support_tables", "_support_plan", "_encoded_plan", "_TABLES",
     }
     assert not oracle_names & set(vars(analytic))
     assert "protocol" not in vars(analytic)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cloneleak import protocol
 from cloneleak.analytic import aligned_reduced, missing_pair_subset_reduced
 from cloneleak.pauli import PauliWord, PureState, enc_coefficient_value, random_states
 from cloneleak.protocol import (
@@ -14,6 +15,7 @@ from cloneleak.protocol import (
     ENCODER_DIM_LIMIT,
     MEMBERSHIPS,
     NONE,
+    ORACLE_CACHE_BYTES,
     STATE_AMPLITUDE_LIMIT,
     CapacityError,
     ReducedState,
@@ -26,6 +28,7 @@ from cloneleak.protocol import (
     parse_label,
     partial_trace,
     permute_subsystems,
+    _TABLES,
     _encoder_tables,
     _reduce_blocks,
     reduce_encoded,
@@ -254,6 +257,7 @@ def test_encode_builds_no_d6_pair_table():
     # and the d^3 register take about 1 MB
     psi = random_states(16, 1, seed=4)[0]
     _encoder_tables.cache_clear()  # measure the tables' build too
+    _TABLES.clear()
     tracemalloc.start()
     try:
         encode(psi, 16, 1)
@@ -632,6 +636,124 @@ def test_reduce_support_scatters_the_kernel_blocks():
                 assert np.array_equal(mat, rho.matrix), (d, n, str(sub))
             count += 1
     assert count == 116
+
+
+def _count_column_keys(monkeypatch) -> list:
+    """Record each ``_column_keys`` call, the step a cached plan skips."""
+    calls = []
+    inner = protocol._column_keys
+
+    def counted(*args):
+        calls.append(args[1:])
+        return inner(*args)
+
+    monkeypatch.setattr(protocol, "_column_keys", counted)
+    return calls
+
+
+def test_a_repeated_request_reuses_its_plan(monkeypatch):
+    calls = _count_column_keys(monkeypatch)
+    _TABLES.clear()
+    psi, other = random_states(5, 2, seed=29)
+    sub = RegisterSubset.from_labels("S1,N2,S3", 3)
+    first = oracle_reduced(psi, 5, 3, sub)
+    assert len(calls) == 1
+    calls.clear()
+    again = oracle_reduced(other, 5, 3, sub)
+    assert np.array_equal(oracle_reduced(psi, 5, 3, sub).matrix, first.matrix)
+    assert not calls  # both planned by the cached plan
+    # a dense register's support is listed in another order, so it is planned afresh
+    assert np.array_equal(again.matrix, reduce_encoded(encode(other, 5, 3), 5, 3, sub).matrix)
+    assert calls
+
+
+def test_cached_plans_give_the_bits_of_a_support_planned_afresh(monkeypatch):
+    # a reversed support is no longer the encoder's index, so it is planned
+    # by _support_plan on every call; its blocks and row-sets must be the
+    # cached plan's bit for bit, on every aligned and missing-pair subset
+    calls = _count_column_keys(monkeypatch)
+    count = 0
+    for d, n in itertools.product((2, 3, 4), (1, 2, 3)):
+        index, values = encode_support(random_states(d, 3, seed=d * n + 1), d, n)
+        assert values.all()
+        for members in itertools.product(MEMBERSHIPS, repeat=n):
+            if all(m == NONE for m in members) or NONE not in members and BOTH in members:
+                continue  # neither aligned nor missing a pair
+            sub = RegisterSubset(members)
+            _reduce_blocks(index, values, d, n, sub)  # fills the cache
+            before = len(calls)
+            cached = _reduce_blocks(index, values, d, n, sub)
+            assert len(calls) == before
+            fresh = _reduce_blocks(index[::-1], values[:, ::-1], d, n, sub)
+            assert len(calls) == before + 1
+            assert len(cached) == len(fresh)
+            for (regs, rows, blocks), (fregs, frows, fblocks) in zip(cached, fresh):
+                assert regs == fregs == [0, 1, 2]
+                assert np.array_equal(rows, frows), (d, n, members)
+                assert np.array_equal(blocks, fblocks), (d, n, members)
+            count += 1
+    assert count == 168
+
+
+def test_a_basis_register_is_not_given_the_cached_plan():
+    # PureState.basis(3, 0) at n = 2 leaves 54 of 81 support amplitudes
+    # exactly zero; after a random state fills the cache for the same
+    # subset, the basis register is planned over its own nonzeros
+    sub = RegisterSubset.from_labels("S1,N1,S2", 2)
+    basis = PureState.basis(3, 0)
+    assert np.count_nonzero(encode_support(basis, 3, 2)[1] == 0) == 54
+    oracle_reduced(random_states(3, 1, seed=30)[0], 3, 2, sub)
+    rho = oracle_reduced(basis, 3, 2, sub)
+    assert_allclose(rho.matrix, dense_reduced(basis, 3, 2, sub), rtol=0, atol=1e-15)
+    assert np.array_equal(rho.matrix, reduce_encoded(encode(basis, 3, 2), 3, 2, sub).matrix)
+
+
+def _held_arrays() -> list[np.ndarray]:
+    """Every array the oracle's cache holds: support tables and plan steps."""
+    held = []
+    for _, value in _TABLES.entries.values():
+        for item in value:
+            held.extend(item if isinstance(item, tuple) else [item])
+    return held
+
+
+def test_cached_tables_are_read_only_and_never_returned():
+    _TABLES.clear()
+    psi = random_states(4, 1, seed=31)[0]
+    index, _ = encode_support(psi, 4, 2)
+    oracle_reduced(psi, 4, 2, RegisterSubset.from_labels("S1,N2", 2))
+    assert set(_TABLES.entries) == {("support", 4, 2), ("plan", 4, 2, (1, 4))}
+    for array in _held_arrays():
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 0
+    first = index.copy()
+    index[:] = 0  # the caller's own copy
+    assert np.array_equal(encode_support(psi, 4, 2)[0], first)
+    assert np.array_equal(_TABLES.get(("support", 4, 2))[1], first)
+
+
+def test_cache_bytes_stay_under_the_bound(monkeypatch):
+    # a small bound makes the shapes below evict each other; the bound in
+    # use holds the largest support table the register guard admits
+    assert 26**5 > STATE_AMPLITUDE_LIMIT >= 25**5 and 24 * 25**4 <= ORACLE_CACHE_BYTES
+    _TABLES.clear()
+    monkeypatch.setattr(_TABLES, "limit", 200_000)
+    shapes = [(d, n) for d in (2, 3, 4, 5, 6) for n in (1, 2, 3)]
+    for d, n in shapes:
+        psi = random_states(d, 1, seed=d + n)[0]
+        for p in range(n + 1):
+            sub = RegisterSubset.aligned(n, p)
+            rho = oracle_reduced(psi, d, n, sub)
+            assert _TABLES.held <= _TABLES.limit
+            assert _TABLES.held == sum(array.nbytes for array in _held_arrays())
+            assert np.array_equal(rho.matrix, reduce_encoded(encode(psi, d, n), d, n, sub).matrix)
+    # (6, 3): 6^5 support entries of 24 bytes, 187 KB, fit alone; (7, 3)'s
+    # 403 KB do not, and a table too large to keep evicts nothing
+    assert ("support", 6, 3) in _TABLES.entries
+    held = list(_TABLES.entries)
+    oracle_reduced(random_states(7, 1, seed=7)[0], 7, 3, RegisterSubset.aligned(3, 1))
+    assert list(_TABLES.entries) == held
 
 
 def test_reduce_support_validation():
