@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .modnum import CongruenceSolutionSet, delta, require_dim, require_int, solve_aligned_system
-from .pauli import PauliWord, PureState, expectation, require_states
+from .pauli import PauliWord, PureState, require_states
 from .protocol import (
     BOTH,
     NONE,
@@ -154,9 +154,9 @@ def _aligned_blocks(
     blocks = np.zeros((len(states), len(rowsets), d, d), dtype=complex)
     blocks[:, :, members, members] = 1 / side
     for term in leaked_words(sols):
-        sig = term.signal_word()
+        word = term.signal_word().matrix()  # built once; <psi|word|psi> as pauli.expectation
         values = roots[(term.phase_exponent + 2 * term.b * digit_sum) % (2 * d)]
-        scale = np.array([expectation(state, sig) for state in states]) / side
+        scale = np.array([np.vdot(psi.amplitudes, word @ psi.amplitudes) for psi in states]) / side
         blocks[:, :, (members + term.a) % d, members] += scale[:, None, None] * values
     # entries (r, c) and (c, r) come from the expectations of two different
     # words, equal only up to rounding: keep the Hermitian part, so that

@@ -7,6 +7,11 @@ support of each register shape once, and replays each verdict against
 brute-force reduced states of seeded random inputs, flagging any
 disagreement, so a green sweep means the closed forms and the integer
 criterion both reproduce the statevector truth.
+
+Every comparison, a sweep row's and ``trace_distance``'s, takes one route:
+``_stacks`` lays out the compared states' blocks over the partition their
+row-sets join, so no side x side array is formed and each distance is a
+small ``eigvalsh`` per block size.
 """
 
 from __future__ import annotations
@@ -21,13 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import (
-    LeakTerm,
-    _aligned_blocks,
-    aligned_reduced,
-    leaked_words,
-    missing_pair_subset_reduced,
-)
+from . import analytic
+from .analytic import LeakTerm, leaked_words
 from .modnum import require_dim, require_int, solve_aligned_system
 from .pauli import PureState, random_states, require_states
 from .protocol import (
@@ -38,7 +38,6 @@ from .protocol import (
     MEMBERSHIPS,
     NONE,
     _reduce_blocks,
-    _register_states,
     encode_support,
     require_pairs,
 )
@@ -109,55 +108,65 @@ def analytic_reduced(
     if is_authorized(subset):
         return None
     if subset.touches_all_pairs:
-        return aligned_reduced(d, subset, psi)
-    closed = missing_pair_subset_reduced(d, subset.n, subset)
+        return analytic.aligned_reduced(d, subset, psi)
+    closed = analytic.missing_pair_subset_reduced(d, subset.n, subset)
     return closed if isinstance(psi, PureState) else [closed] * len(states)
 
 
-def _matrix(state: ReducedState | np.ndarray) -> np.ndarray:
-    return state.matrix if isinstance(state, ReducedState) else np.asarray(state, dtype=complex)
+def _labels(rowsets: Sequence[np.ndarray], side: int) -> np.ndarray:
+    """Each of ``side`` rows' block, named by the block's smallest row.
 
-
-def _components(pattern: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a symmetric boolean pattern, stacked by size.
-
-    Node i joins node j when ``pattern[i, j]`` holds.  Returns one
-    (count, size) index array per component size, each row one component
-    in ascending order, so a pattern with one component gives
-    ``[arange(side)[None]]``.  Every node takes the smallest number among
-    its neighbours and itself, then the number that node holds, until no
-    number moves; each component then holds its smallest node.
+    ``rowsets`` are (groups, c) arrays of rows.  The rows of a group share a
+    block, and so do two blocks that share a row; a row in no group is a
+    block of its own.  Every row takes the smallest label among its groups,
+    then the label that label holds, until no label moves.
     """
-    side = len(pattern)
-    label = np.arange(side, dtype=np.min_scalar_type(side))  # keeps the side^2 scratch small
+    label = np.arange(side)
     while True:
-        low = np.minimum(np.where(pattern, label, side).min(axis=1, initial=side), label)
+        low = label.copy()
+        for sets in rowsets:
+            np.minimum.at(low, sets, low[sets].min(axis=1, keepdims=True))
         low = low[low]
-        if np.array_equal(low, label):
-            break
+        if (low == label).all():
+            return label
         label = low
-    order = np.argsort(label, kind="stable")  # by component, ascending within
-    counts = np.bincount(label, minlength=side)
-    sizes = counts[counts > 0]
-    firsts = np.cumsum(sizes) - sizes
-    return [order[firsts[sizes == k, None] + np.arange(k)] for k in sorted(set(sizes.tolist()))]
 
 
-def _blocks(states: Sequence[ReducedState | np.ndarray]) -> list[np.ndarray]:
-    """Each state's blocks over the components of the states' joint nonzero pattern.
+def _stacks(
+    parts: Sequence[tuple[Sequence[int], np.ndarray, np.ndarray]], side: int, count: int
+) -> list[np.ndarray]:
+    """``count`` states of side ``side``, given as parts, laid out block by block.
 
-    One (states, count, k, k) stack per component size k.  Every state, and
-    so every difference of two, is zero off the blocks.  The pattern is read
-    from exact zeros, so no tolerance decides it, and it holds every NaN.
+    ``parts`` come as ``_reduce_blocks`` gives them: the states a part is
+    added into, the (groups, c) rows of its blocks and their
+    (len(states), groups, c, c) entries.  The blocks are those of
+    ``_labels`` over every part's rows, so each state, and each difference
+    of two, is zero off them whatever the entries are, NaN included.
+    Returns one (count, blocks, k, k) stack per block size k, ascending,
+    with the blocks in order of their smallest row and each block's rows
+    ascending.  Each part is added in by one ``np.add.at``, so groups that
+    share rows add up as they do in ``ReducedState.matrix``.
     """
-    dense = {id(state): _matrix(state) for state in states}  # a repeated state once
-    matrices = [dense[id(state)] for state in states]
-    pattern = matrices[0] != 0
-    for matrix in matrices[1:]:
-        pattern |= matrix != 0
-    pattern |= pattern.T
-    blocks = [(idx[:, :, None], idx[:, None, :]) for idx in _components(pattern)]
-    return [np.array([matrix[rows, cols] for matrix in matrices]) for rows, cols in blocks]
+    label = _labels([sets for _, sets, _ in parts if sets.shape[1] > 1], side)
+    size = np.bincount(label, minlength=side)[label]  # each row's block size
+    order = np.argsort(size * side + label, kind="stable")  # by size, then block, then row
+    # a state's blocks lie one after another, k*k entries each, and row r's
+    # entries start at slot[r]: its block's first entry plus k per row above it
+    ends = np.cumsum(size[order])
+    slot = np.empty(side, dtype=np.intp)
+    slot[order] = ends - size[order]
+    column = (slot - slot[label]) // size
+    out = np.zeros((count, int(ends[-1])), dtype=complex)
+    for states, sets, blocks in parts:
+        at = slot[sets][:, :, None] + column[sets][:, None, :]
+        target = np.asarray(states)[:, None] * out.shape[1] + at.ravel()
+        np.add.at(out.reshape(-1), target.ravel(), np.ravel(blocks))
+    rows = np.bincount(size)  # rows per block size
+    stacks, start = [], 0
+    for k in rows.nonzero()[0].tolist():
+        stacks.append(out[:, start:start + k * rows[k]].reshape(count, -1, k, k))
+        start += k * rows[k]
+    return stacks
 
 
 def _block_distance(blocks: Sequence[np.ndarray]) -> float:
@@ -177,11 +186,11 @@ def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.n
     Frobenius norm exceeds its own.  The Hermitian part (X + X^H)/2 has norm
     at most ||X||_F, which keeps T <= sqrt(side)/2 * ||X||_F true.
 
-    This is the sweep's kernel on one pair, over the blocks of the
-    difference X's own nonzero pattern: the Hermitian part is zero between
-    them, so permuting it to them keeps its spectrum.  A dense X is one
-    block, the Hermitian part itself.  Inputs must be square and of one
-    shape; two ReducedStates must also share ``d`` and ``labels``.
+    This is the sweep's kernel on one pair, over the blocks of ``_stacks``:
+    a ReducedState is compared by its parts, and a plain array is one part
+    over every row, so a dense pair is one block, the Hermitian part itself.
+    Inputs must be square, of one side and finite; two ReducedStates must
+    also share ``d`` and ``labels``.
     """
     if isinstance(first, ReducedState) and isinstance(second, ReducedState):
         if (first.d, first.labels) != (second.d, second.labels):
@@ -189,17 +198,27 @@ def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.n
                 f"states over different qudits: d={first.d} {list(first.labels)} "
                 f"vs d={second.d} {list(second.labels)}"
             )
-    a, b = _matrix(first), _matrix(second)
-    for matrix in (a, b):
+    sides, parts = [], []
+    for k, state in enumerate((first, second)):
+        if isinstance(state, ReducedState):
+            sides.append(state.dim)
+            parts += [([k], rows, blocks[None]) for rows, blocks in state.parts]
+            continue
+        matrix = np.asarray(state, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"not a square matrix: shape {matrix.shape}")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    for name, matrix in (("first", a), ("second", b)):
-        if not np.isfinite(matrix).all():
-            i, j = np.argwhere(~np.isfinite(matrix))[0]
-            raise ValueError(f"non-finite entry {matrix[i, j]} at ({i}, {j}) of the {name} matrix")
-    return _block_distance([stack[0] for stack in _blocks([a - b])])
+        sides.append(len(matrix))
+        parts.append(([k], np.arange(len(matrix))[None], matrix[None, None]))
+    side, other = sides
+    if side != other:
+        raise ValueError(f"shape mismatch: {(side, side)} vs {(other, other)}")
+    for (k,), rows, blocks in parts:
+        if not np.isfinite(blocks).all():
+            _, g, a, b = np.argwhere(~np.isfinite(blocks))[0]
+            value, i, j = blocks[0, g, a, b], rows[g, a], rows[g, b]
+            name = ("first", "second")[k]
+            raise ValueError(f"non-finite entry {value} at ({i}, {j}) of the {name} matrix")
+    return _block_distance([stack[0] - stack[1] for stack in _stacks(parts, side, 2)])
 
 
 def maximally_mixed(d: int, num_qudits: int) -> np.ndarray:
@@ -451,53 +470,6 @@ def _partition(rowsets: Sequence[np.ndarray], side: int) -> np.ndarray | None:
     return label
 
 
-def _block_stacks(
-    d: int,
-    subset: RegisterSubset,
-    states: Sequence[PureState],
-    parts: list[tuple[list[int], np.ndarray, np.ndarray]],
-    uninformative: bool,
-    notes: list[str],
-) -> list[np.ndarray] | None:
-    """A row's stacks straight from the oracle's blocks, or None for the dense path.
-
-    ``parts`` are the oracle's ``_reduce_blocks`` output.  The route needs
-    an aligned or authorized subset whose registers share one nonzero
-    pattern, so that every part holds every register, with disjoint
-    row-sets; each part is then one stack, its oracle blocks first.  An
-    aligned row appends the closed form's blocks, built by its own orbit
-    rule, once an integer check finds that its partition equals the
-    oracle's: each closed entry is read at the oracle's rows, in the
-    oracle's order.  A partition that differs appends a note and sends the
-    row to the dense path.  An uninformative row appends the maximally
-    mixed state, 1/side on each block's diagonal: the orbits cover every
-    row, and so do the oracle's blocks when the partitions are equal.
-    """
-    count, side = len(states), d**subset.size
-    if not parts or not subset.touches_all_pairs or any(len(regs) < count for regs, _, _ in parts):
-        return None
-    label = _partition([sets for _, sets, _ in parts], side)
-    if label is None:
-        return None
-    if is_authorized(subset):
-        return [blocks for _, _, blocks in parts]
-    closed_sets, closed = _aligned_blocks(d, subset, states)
-    if not np.array_equal(_partition([closed_sets], side), label):
-        notes.append("closed form's block partition differs from oracle's")
-        return None
-    group, member = np.empty(side, dtype=np.intp), np.empty(side, dtype=np.intp)
-    group[closed_sets] = np.arange(len(closed_sets))[:, None]
-    member[closed_sets] = np.arange(closed_sets.shape[1])
-    stacks = []
-    for _, sets, blocks in parts:
-        at = member[sets]
-        pieces = [blocks, closed[:, group[sets[:, :1, None]], at[:, :, None], at[:, None, :]]]
-        if uninformative:
-            pieces.append(np.broadcast_to(np.eye(sets.shape[1]) / side, (1, *blocks.shape[1:])))
-        stacks.append(np.concatenate(pieces))
-    return stacks
-
-
 def evaluate_subset(
     d: int,
     subset: RegisterSubset,
@@ -512,16 +484,19 @@ def evaluate_subset(
     the CapacityError that stopped the shape from being encoded; such a row,
     and one whose oracle reduced states are too large, is skipped and its
     note gives the reason.  All registers are reduced in one
-    ``_reduce_blocks`` call.  An aligned or authorized row compares the
-    oracle's Gram blocks directly (see ``_block_stacks``) and forms no
-    side x side array.  Any other row (missing-pair, an irregular plan, or
-    a closed form whose partition differs) takes the dense path: its oracle
-    and ``analytic_reduced`` states are made dense once each, and one
-    ``_blocks`` call finds and gathers their blocks.  Each check is one
-    ``_max_distance`` call naming its pairs by two index arrays into the
-    stacks, with ``tol`` and ``witness`` from ``config``; a distance at or
-    below ``tol`` may be a certified upper bound, which its ``*_bound``
-    field says.  A NaN distance fails its gate and gets a note.
+    ``_reduce_blocks`` call, and the row compares its states block by
+    block, forming no side x side array: one ``_stacks`` call lays out the
+    oracle's blocks, the closed form's and, on an uninformative row, the
+    maximally mixed state's 1 x 1 blocks over the partition their rows
+    join.  An aligned closed form is ``analytic._aligned_blocks``, its
+    orbit blocks, and when the oracle's row-sets partition the rows, an
+    integer check that the orbits partition them alike notes a row where
+    they do not.  A missing-pair closed form is one input-free state, so
+    every sample's pair names it.  Each check is one ``_max_distance`` call
+    naming its pairs by two index arrays into the stacks, with ``tol`` and
+    ``witness`` from ``config``; a distance at or below ``tol`` may be a
+    certified upper bound, which its ``*_bound`` field says.  A NaN
+    distance fails its gate and gets a note.
     """
     tol, witness = config.tol, config.witness
     cls = classify_subset(d, subset)
@@ -548,23 +523,37 @@ def evaluate_subset(
         )
     uninformative = cls.verdict == COMPLETELY_UNINFORMATIVE
     side, count = d**subset.size, len(states)
-    notes: list[str] = []  # each is a disagreement; the row agrees when none is found
-    # states 0..count-1 are the oracle's, then the closed forms, then the mixed one
-    stacks = _block_stacks(d, subset, states, parts, uninformative, notes)
-    if stacks is None:
-        # no CapacityError here: each closed form guards the same side d^size
-        # against the REDUCED_SIDE_LIMIT that the kernel has just passed
-        closed = analytic_reduced(d, subset, states) or []
-        mixed = [maximally_mixed(d, subset.size)] if uninformative else []
-        stacks = _blocks([*_register_states(parts, count, d, subset), *closed, *mixed])
-    del parts
     own = np.arange(count)
+    notes: list[str] = []  # each is a disagreement; the row agrees when none is found
+    # the stacks hold the oracle's states 0..count-1, then the closed forms,
+    # then the maximally mixed state.  No CapacityError here: each closed form
+    # guards the same side d^size against the REDUCED_SIDE_LIMIT that the
+    # kernel has just passed
+    total = count
+    if not cls.authorized and subset.touches_all_pairs:
+        rowsets, blocks = analytic._aligned_blocks(d, subset, states)
+        label = _partition([sets for _, sets, _ in parts], side)
+        if label is not None and not np.array_equal(_partition([rowsets], side), label):
+            notes.append("closed form's block partition differs from oracle's")
+        closed, total = own + count, 2 * count
+        parts.append((closed, rowsets, blocks))
+    elif not cls.authorized:  # input-free: one state stands for every sample
+        closed, total = np.full(count, count), count + 1
+        state = analytic.missing_pair_subset_reduced(d, subset.n, subset)
+        parts += [([count], rowsets, blocks[None]) for rowsets, blocks in state.parts]
+    if uninformative:  # 1/side on every row
+        mixed = np.full(count, total)
+        diagonal = np.full((1, side, 1, 1), 1 / side, dtype=complex)
+        parts.append(([total], np.arange(side)[:, None], diagonal))
+        total += 1
+    stacks = _stacks(parts, side, total)
+    del parts
     oracle_max, oracle_bound = _max_distance(stacks, *np.triu_indices(count, 1), side, tol, witness)
 
     analytic_dist: float | None = None
     analytic_bound: bool | None = None
     if not cls.authorized:
-        analytic_dist, analytic_bound = _max_distance(stacks, own + count, own, side, tol, witness)
+        analytic_dist, analytic_bound = _max_distance(stacks, closed, own, side, tol, witness)
 
     # every gate is written so that a NaN distance reads as a disagreement
     if analytic_dist is not None and not analytic_dist <= tol:
@@ -572,7 +561,7 @@ def evaluate_subset(
     if uninformative:
         if not oracle_max <= tol:
             notes.append("verdict says input-independent, oracle disagrees")
-        mixed_dist, _ = _max_distance(stacks, own, np.full(count, 2 * count), side, tol, witness)
+        mixed_dist, _ = _max_distance(stacks, own, mixed, side, tol, witness)
         if cls.maximally_mixed and not mixed_dist <= tol:
             notes.append("flagged maximally mixed, oracle disagrees")
         if not cls.maximally_mixed and not mixed_dist >= witness:

@@ -712,17 +712,12 @@ def reduce_support(
     """
     parts = _reduce_blocks(index, values, d, n, subset)
     single = np.ndim(values) == 1
-    reduced = _register_states(parts, 1 if single else len(values), d, subset)
-    return reduced[0] if single else reduced
-
-
-def _register_states(parts: list, count: int, d: int, subset: RegisterSubset) -> list[ReducedState]:
-    """The ``count`` states of ``_reduce_blocks`` parts, each holding its own blocks."""
-    own: list[list] = [[] for _ in range(count)]
+    own: list[list] = [[] for _ in range(1 if single else len(values))]
     for regs, rowsets, gram in parts:
         for reg, blocks in zip(regs, gram):
             own[reg].append((rowsets, blocks))
-    return [ReducedState(d, subset.kept_labels(), parts=mine) for mine in own]
+    reduced = [ReducedState(d, subset.kept_labels(), parts=mine) for mine in own]
+    return reduced[0] if single else reduced
 
 
 def oracle_reduced(psi: PureState, d: int, n: int, subset: RegisterSubset) -> ReducedState:

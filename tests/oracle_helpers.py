@@ -8,7 +8,7 @@ encoder prepares, written out as a vector for the dense reference routes,
 and ``dense_reduced`` is the dense route itself: the whole register, with
 no support, plan or block in between.
 ``scan_pairs`` runs the sweep's comparison, ``classify._max_distance``, on
-any list of pairs of states.
+any list of pairs of dense states, laid out by ``dense_stacks``.
 """
 
 import itertools
@@ -77,13 +77,20 @@ def numeric_independence_test(
     return IndependenceResult(worst <= tol, worst)
 
 
-def scan_pairs(pairs, tol: float, witness: float) -> tuple[float, bool]:
-    """``classify._max_distance`` over ``pairs``, on blocks found once for all of them.
+def dense_stacks(states) -> list[np.ndarray]:
+    """``classify._stacks`` of dense states, each one part over every row."""
+    side = len(states[0])
+    rows = np.arange(side)[None]
+    parts = [([k], rows, np.asarray(state, dtype=complex)[None]) for k, state in enumerate(states)]
+    return classify._stacks(parts, side, len(states))
 
-    Pair k is states 2k and 2k + 1 of one ``classify._blocks`` call, as a
-    sweep row names its pairs by index into its own blocks.
+
+def scan_pairs(pairs, tol: float, witness: float) -> tuple[float, bool]:
+    """``classify._max_distance`` over ``pairs``, on stacks laid out once for all of them.
+
+    Pair k is states 2k and 2k + 1 of one ``dense_stacks`` call, as a sweep
+    row names its pairs by index into its own stacks.
     """
     states = [state for pair in pairs for state in pair]
-    first = np.arange(0, len(states), 2)
-    side = len(classify._matrix(states[0]))
-    return classify._max_distance(classify._blocks(states), first, first + 1, side, tol, witness)
+    first, side = np.arange(0, len(states), 2), len(states[0])
+    return classify._max_distance(dense_stacks(states), first, first + 1, side, tol, witness)

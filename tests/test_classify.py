@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cloneleak import classify
+from cloneleak import analytic, classify
 from cloneleak.analytic import aligned_reduced, missing_pair_subset_reduced
 from cloneleak.classify import (
     COMPLETELY_UNINFORMATIVE,
@@ -36,7 +36,7 @@ from cloneleak.protocol import (
     reduce_encoded,
     reduce_support,
 )
-from oracle_helpers import numeric_independence_test, scan_pairs
+from oracle_helpers import dense_stacks, numeric_independence_test, scan_pairs
 
 
 def sub(labels, n):
@@ -203,8 +203,8 @@ def test_trace_distance_rejects_states_over_different_qudits():
 
 
 def test_trace_distance_of_a_dense_pair_is_its_dense_spectrum():
-    # one component: the block is the Hermitian part itself, so the float is
-    # the one a single dense eigvalsh gives
+    # a plain array is one part over every row, so one block: the Hermitian
+    # part itself, and the float is the one a single dense eigvalsh gives
     rng = np.random.default_rng(3)
     for side in (1, 2, 7, 64, 216):
         a, b = (rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
@@ -212,6 +212,22 @@ def test_trace_distance_of_a_dense_pair_is_its_dense_spectrum():
         x = a - b
         herm = 0.5 * (x + x.conj().T)
         assert trace_distance(a, b) == 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
+
+
+def test_blocks_join_along_a_chain_of_row_sets():
+    # {3, 4}, {2, 3}, {1, 2} and {0, 1} chain into one block, which each
+    # pass over the row-sets lowers by one link at most: rows 5 and 6 stay
+    # blocks of their own, and the stacks list them first, by size
+    rowsets = [np.array([[3, 4]]), np.array([[2, 3]]), np.array([[1, 2]]), np.array([[0, 1]])]
+    assert classify._labels(rowsets[::-1], 7).tolist() == [0, 0, 0, 0, 0, 5, 6]
+    assert classify._labels(rowsets, 7).tolist() == [0, 0, 0, 0, 0, 5, 6]
+    parts = [([k % 2], rows, np.ones((1, 1, 2, 2))) for k, rows in enumerate(rowsets)]
+    small, block = classify._stacks(parts, 7, 2)
+    assert small.shape == (2, 2, 1, 1) and not small.any()
+    expected = np.zeros((2, 1, 5, 5))
+    for k, rows in enumerate(rowsets):
+        expected[k % 2, 0, rows[0, :, None], rows[0]] += 1
+    assert np.array_equal(block, expected)
 
 
 def test_sweep_diagonalizes_blocks_of_side_d(monkeypatch):
@@ -396,26 +412,28 @@ def test_run_sweep_aligned_grid_agrees():
 
 
 def test_run_sweep_all_family_agrees(monkeypatch):
-    # each row with a closed form asks for it once, for all its samples at
-    # once: an aligned row for its blocks, a missing-pair row the dispatcher
+    # each row with a closed form asks for it once: an aligned row for the
+    # blocks of all its samples at once, a missing-pair row for its one
+    # input-free state
     calls = []
+    inner_blocks, inner_state = analytic._aligned_blocks, analytic.missing_pair_subset_reduced
 
-    def counted(name):
-        inner = getattr(classify, name)
+    def aligned(d, subset, psi):
+        calls.append(("aligned", str(subset), len(psi)))
+        return inner_blocks(d, subset, psi)
 
-        def closed_form(d, subset, psi):
-            calls.append((name, str(subset), len(psi)))
-            return inner(d, subset, psi)
+    def missing_pair(d, n, subset):
+        calls.append(("missing_pair", str(subset), 1))
+        return inner_state(d, n, subset)
 
-        return closed_form
-
-    for name in ("analytic_reduced", "_aligned_blocks"):
-        monkeypatch.setattr(classify, name, counted(name))
+    monkeypatch.setattr(analytic, "_aligned_blocks", aligned)
+    monkeypatch.setattr(analytic, "missing_pair_subset_reduced", missing_pair)
     config = SweepConfig(dims=(2,), ns=(2,), family="all", samples=5, seed=4)
     report = run_sweep(config)
     assert len(report.rows) == 15
     assert calls == [
-        ("_aligned_blocks" if sub(row.subset, 2).is_aligned else "analytic_reduced", row.subset, 5)
+        ("aligned", row.subset, 5) if sub(row.subset, 2).is_aligned
+        else ("missing_pair", row.subset, 1)
         for row in report.rows
         if not row.authorized
     ]
@@ -542,9 +560,9 @@ def test_closed_form_gate_stays_exact_above_tol(monkeypatch):
 
         return closed_form
 
-    monkeypatch.setattr(classify, "_aligned_blocks", bumped_blocks(classify._aligned_blocks))
+    monkeypatch.setattr(analytic, "_aligned_blocks", bumped_blocks(analytic._aligned_blocks))
     monkeypatch.setattr(
-        classify, "missing_pair_subset_reduced", perturbed(classify.missing_pair_subset_reduced)
+        analytic, "missing_pair_subset_reduced", perturbed(analytic.missing_pair_subset_reduced)
     )
     d, n = 3, 2
     config = SweepConfig(dims=(d,), ns=(n,), samples=4, seed=5, tol=tol, witness=1e-6)
@@ -559,10 +577,10 @@ def test_closed_form_gate_stays_exact_above_tol(monkeypatch):
 
 def test_closed_form_entry_off_every_oracle_block_is_seen(monkeypatch):
     # a Hermitian bump of 10*tol where every oracle state is exactly zero, on
-    # a missing-pair row, which takes the dense path: the row's joint
-    # support carries it into the bound, and the pair's own pattern joins it
-    # into a block of the exact distance.  An aligned closed form is its
-    # blocks, so it has no entry off them (see
+    # a missing-pair row: the bumped closed form is one dense part over every
+    # row, which joins the row's blocks into one, so the bump reaches both the
+    # bound and the exact distance.  An aligned closed form is its blocks, so
+    # it has no entry off them (see
     # test_block_route_catches_a_closed_form_the_oracle_contradicts)
     tol = 1e-9
     d, n, labels = 3, 3, "S1,N1,S2,N2"  # two whole pairs: not maximally mixed
@@ -572,7 +590,7 @@ def test_closed_form_entry_off_every_oracle_block_is_seen(monkeypatch):
     zero = np.logical_and.reduce([m == 0 for m in oracle])
     i, j = np.argwhere(zero)[0]
     assert i != j
-    inner = classify.missing_pair_subset_reduced
+    inner = analytic.missing_pair_subset_reduced
 
     def bumped(*args):
         state = inner(*args)
@@ -580,7 +598,7 @@ def test_closed_form_entry_off_every_oracle_block_is_seen(monkeypatch):
         bump[i, j] = bump[j, i] = 10 * tol
         return ReducedState(state.d, state.labels, state.matrix + bump)
 
-    monkeypatch.setattr(classify, "missing_pair_subset_reduced", bumped)
+    monkeypatch.setattr(analytic, "missing_pair_subset_reduced", bumped)
     row = replay(d, labels, n, config)
     assert not row.agree and "closed form disagrees with oracle" in row.note
     assert row.analytic_bound is False
@@ -654,31 +672,22 @@ def test_aligned_sweep_diagonalizes_only_input_dependent_rows(monkeypatch):
     # the exact maximum is taken in bound order, which stops early because a
     # leaking aligned difference has g eigenvalue levels of equal multiplicity:
     # at g = 2 its bound is exact, so the first pair settles the maximum.
-    # An aligned row compares the oracle's Gram blocks directly, so it runs
-    # no component search.
     inner_distance, inner_row = classify._block_distance, classify.evaluate_subset
-    inner_components = classify._components
-    calls, searches = [], []
+    calls = []
 
     def counted(*args):
         calls.append(1)
         return inner_distance(*args)
 
-    def searched(*args):
-        searches.append(1)
-        return inner_components(*args)
-
     per_row = []
 
     def row_clock(*args):
-        before, searched_before = len(calls), len(searches)
+        before = len(calls)
         row = inner_row(*args)
-        assert len(searches) - searched_before == 0, row
         per_row.append((row, len(calls) - before))
         return row
 
     monkeypatch.setattr(classify, "_block_distance", counted)
-    monkeypatch.setattr(classify, "_components", searched)
     monkeypatch.setattr(classify, "evaluate_subset", row_clock)
     report = run_sweep(SweepConfig(dims=(2, 3, 4), ns=(1, 2, 3), samples=10, seed=7))
     assert report.all_agree and len(per_row) == len(report.rows) == 27
@@ -697,7 +706,7 @@ def test_block_route_catches_a_closed_form_the_oracle_contradicts(monkeypatch):
     # an aligned row reads its closed form from the orbit blocks alone; a
     # block partition off the oracle's, or an entry off inside a block,
     # must fail the row, not pass or raise
-    inner = classify._aligned_blocks
+    inner = analytic._aligned_blocks
 
     def moved(source):
         def closed_form(*args):
@@ -718,53 +727,53 @@ def test_block_route_catches_a_closed_form_the_oracle_contradicts(monkeypatch):
     for labels in ("S1,S2,N3", "S1,N2,N3"):  # leaking, then maximally mixed
         # one row changes block each way, then one row sits in two blocks
         for source in ([1, 0], [0, 0]):
-            monkeypatch.setattr(classify, "_aligned_blocks", moved(source))
+            monkeypatch.setattr(analytic, "_aligned_blocks", moved(source))
             row = replay(3, labels, 3, config)
             assert not row.agree and "block partition differs" in row.note, row
-        monkeypatch.setattr(classify, "_aligned_blocks", shifted)
+        monkeypatch.setattr(analytic, "_aligned_blocks", shifted)
         row = replay(3, labels, 3, config)
         assert not row.agree and "closed form disagrees with oracle" in row.note, row
         assert row.analytic_bound is False and row.analytic_oracle_distance > config.tol
 
 
-def test_block_route_rows_match_the_dense_route(monkeypatch):
-    # every aligned and authorized row of d 2..4 x n 1..3 on the block route
-    # keeps the verdict, agree, note and bound fields it gets on the dense
-    # path, and each distance is within 1e-12 of the dense route's and of
-    # trace_distance on the dense states.  The side-4096 row is left out:
-    # its dense states take 268 MB each
-    def sweep(d, n):
+def test_block_route_rows_match_the_dense_route():
+    # every --family all row of d 2..4 x n 1..3 whose side is at most 1024
+    # agrees, and each distance is within 1e-12 of the exact maximum that a
+    # dense reference gives, or is a flagged bound between it and tol.  The
+    # reference diagonalizes each pair's difference as one matrix, with its
+    # all-zero rows and columns dropped, which drops only zero eigenvalues.
+    # The side-4096 row is left out: its dense states take 268 MB each
+    def dense(a, b):
+        x = a.matrix - b.matrix
+        live = np.flatnonzero((x != 0).any(axis=0) | (x != 0).any(axis=1))
+        x = x[np.ix_(live, live)]
+        return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (x + x.conj().T)))))
+
+    checked = 0
+    for d, n in itertools.product((2, 3, 4), (1, 2, 3)):
         subsets = [
             str(RegisterSubset(members))
             for members in itertools.product(MEMBERSHIPS, repeat=n)
-            if NONE not in members and d ** (n + members.count("both")) <= 1024
+            if set(members) != {NONE} and d ** RegisterSubset(members).size <= 1024
         ]
         config = SweepConfig(dims=(d,), ns=(n,), family="named", subsets=subsets, samples=4, seed=9)
-        return run_sweep(config).rows
-
-    shapes = list(itertools.product((2, 3, 4), (1, 2, 3)))
-    by_blocks = {shape: sweep(*shape) for shape in shapes}
-    monkeypatch.setattr(classify, "_block_stacks", lambda *args: None)
-    checked = 0
-    for d, n in shapes:
+        report = run_sweep(config)
+        assert report.all_agree and not report.skipped
         states = random_states(d, 4, 9)
         support = encode_support(states, d, n)
-        for row, dense in zip(by_blocks[d, n], sweep(d, n)):
-            distances = dict(oracle_max_distance=None, analytic_oracle_distance=None)
-            assert dataclasses.replace(row, **distances) == dataclasses.replace(dense, **distances)
+        for row in report.rows:
             subset = sub(row.subset, n)
             reduced = reduce_support(*support, d, n, subset)
             checks = [("oracle_max", itertools.combinations(reduced, 2))]
             if not row.authorized:
-                checks.append(("analytic", zip(aligned_reduced(d, subset, states), reduced)))
+                checks.append(("analytic", zip(analytic_reduced(d, subset, states), reduced)))
             for name, pairs in checks:
                 field = "analytic_oracle_distance" if name == "analytic" else "oracle_max_distance"
                 value, bound = getattr(row, field), getattr(row, f"{name}_bound")
-                truth = max(trace_distance(a, b) for a, b in pairs)
-                assert abs(value - getattr(dense, field)) <= 1e-12, row
+                truth = max(dense(a, b) for a, b in pairs)
                 assert abs(value - truth) <= 1e-12 or (bound and truth <= value <= 1e-9), row
             checked += 1
-    assert checked == 116
+    assert checked == 242
 
 
 def test_authorized_row_holds_no_dense_state():
@@ -781,23 +790,33 @@ def test_authorized_row_holds_no_dense_state():
     assert peak < 64 * 2**20
 
 
+def test_missing_pair_row_holds_no_dense_state():
+    # the d = 6, n = 3 missing-pair row S1,N1,S2,N2 has side 1296, so one
+    # dense state takes 26.9 MB; its ten oracle states, closed form and
+    # maximally mixed state lie on six 36 x 36 blocks and 1080 of 1 x 1
+    config = SweepConfig(dims=(6,), ns=(3,), family="named", subsets=("S1,N1,S2,N2",))
+    tracemalloc.start()
+    try:
+        report = run_sweep(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_agree and not report.skipped
+    assert peak < 1296**2 * np.dtype(complex).itemsize
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_non_finite_closed_form_fails_its_row(monkeypatch, d):
     # a NaN must fail every gate it reaches (NaN compares false), and must
     # not reach eigvalsh, which raises on it; aligned rows take their closed
-    # forms as blocks, the others as dense states
-    inner, inner_blocks = classify.analytic_reduced, classify._aligned_blocks
+    # forms as blocks, missing-pair rows as one input-free state
+    inner, inner_blocks = analytic.missing_pair_subset_reduced, analytic._aligned_blocks
 
     def poisoned(*args):
-        closed = inner(*args)
-        if closed is None:
-            return None
-        out = []
-        for state in closed:
-            matrix = state.matrix.copy()
-            matrix[0, 0] = np.nan
-            out.append(ReducedState(state.d, state.labels, matrix))
-        return out
+        state = inner(*args)
+        matrix = state.matrix.copy()
+        matrix[0, 0] = np.nan
+        return ReducedState(state.d, state.labels, matrix)
 
     def poisoned_blocks(*args):
         rowsets, blocks = inner_blocks(*args)
@@ -806,8 +825,8 @@ def test_non_finite_closed_form_fails_its_row(monkeypatch, d):
         blocks[:, group, member, member] = np.nan
         return rowsets, blocks
 
-    monkeypatch.setattr(classify, "analytic_reduced", poisoned)
-    monkeypatch.setattr(classify, "_aligned_blocks", poisoned_blocks)
+    monkeypatch.setattr(analytic, "missing_pair_subset_reduced", poisoned)
+    monkeypatch.setattr(analytic, "_aligned_blocks", poisoned_blocks)
     for family in ("aligned", "all"):
         config = SweepConfig(dims=(d,), ns=(1, 2, 3), family=family, samples=4, seed=8)
         rows = [row for row in run_sweep(config).rows if not row.authorized]
@@ -885,7 +904,7 @@ def test_max_distance_holds_a_chunk_of_block_differences_at_a_time():
     rng = np.random.default_rng(11)
     g = rng.standard_normal((10, 64, 64)) + 1j * rng.standard_normal((10, 64, 64))
     rho = g @ g.conj().swapaxes(-1, -2)
-    stacks = classify._blocks(list(rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]))
+    stacks = dense_stacks(list(rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]))
     assert [stack.shape for stack in stacks] == [(10, 1, 64, 64)]
     tracemalloc.start()
     try:

@@ -12,7 +12,6 @@ from cloneleak.classify import (
     COMPLETELY_UNINFORMATIVE,
     FULLY_INFORMATIVE,
     PARTIALLY_INFORMATIVE,
-    _blocks,
     _max_distance,
     classify_subset,
     trace_distance,
@@ -22,12 +21,13 @@ from cloneleak.protocol import (
     MEMBERSHIPS,
     NONE,
     SIGNAL,
+    ReducedState,
     RegisterSubset,
     parse_label,
     partial_trace,
     reduce_support,
 )
-from oracle_helpers import scan_pairs
+from oracle_helpers import dense_stacks, scan_pairs
 
 subsets = (
     st.integers(min_value=1, max_value=8)
@@ -118,7 +118,7 @@ def test_max_distance_scan_returns_the_exact_maximum(side, ranks, seed):
     if not bound:
         assert value == exact
     first, second = np.triu_indices(len(states), 1)
-    value, bound = _max_distance(_blocks(states), first, second, side, 1e-9, 1e-6)
+    value, bound = _max_distance(dense_stacks(states), first, second, side, 1e-9, 1e-6)
     if not bound:
         assert value == exact
 
@@ -137,7 +137,7 @@ def block_differences(draw):
     start = 0
     for size in sizes:
         g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        g[rng.random((size, size)) < 0.3] = 0  # zeros inside a block may split it
+        g[rng.random((size, size)) < 0.3] = 0  # exact zeros inside a block
         diff[start:start + size, start:start + size] = g + g.conj().T
         start += size
     background = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
@@ -152,6 +152,45 @@ def block_differences(draw):
 def test_trace_distance_over_blocks_matches_the_dense_spectrum(pair):
     first, second = pair
     x = first - second
+    herm = 0.5 * (x + x.conj().T)
+    dense = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
+    assert abs(trace_distance(first, second) - dense) <= 1e-12 * np.linalg.norm(x)
+
+
+@st.composite
+def overlapping_states(draw):
+    # two ReducedStates whose parts share rows: groups drawn at random may
+    # overlap within one part, and a chain of two-row groups alternates
+    # between the states in a random row order, so that joining their blocks
+    # can take more than one pass.  Blocks are any complex numbers: only the
+    # difference's Hermitian part is compared
+    d, qudits = draw(st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (5, 2)]))
+    side = d**qudits
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    links = draw(st.integers(min_value=0, max_value=side - 1))
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(side)
+    states = []
+    for k in range(2):
+        chain = [order[i:i + 2] for i in range(k, links, 2)]
+        groups = [np.array(chain)] if chain else []
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            c = draw(st.integers(min_value=1, max_value=min(side, 6)))
+            count = draw(st.integers(min_value=1, max_value=3))
+            groups.append(np.array([rng.choice(side, c, replace=False) for _ in range(count)]))
+        parts = []
+        for rows in groups:
+            shape = (*rows.shape, rows.shape[1])
+            parts.append((rows, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+        states.append(ReducedState(d, [f"S{i}" for i in range(1, qudits + 1)], parts=parts))
+    return states
+
+
+@settings(deadline=None)
+@given(pair=overlapping_states())
+def test_trace_distance_of_overlapping_parts_matches_the_dense_spectrum(pair):
+    first, second = pair
+    x = first.matrix - second.matrix
     herm = 0.5 * (x + x.conj().T)
     dense = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
     assert abs(trace_distance(first, second) - dense) <= 1e-12 * np.linalg.norm(x)
