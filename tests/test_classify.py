@@ -185,7 +185,7 @@ def test_trace_distance_accepts_reduced_states():
         for first, second, which in ((bad, np.eye(2), "first"), (np.eye(2), bad, "second")):
             with pytest.raises(ValueError, match=rf"non-finite entry .* at \(1, 0\) of the {which}"):
                 trace_distance(first, second)
-    # rejected by shape before any side^2 pattern or component search
+    # rejected by shape before any part is laid out
     for shape in ((2, 3), (3,), (2, 2, 2)):
         with pytest.raises(ValueError, match=rf"not a square matrix: shape \({shape[0]},"):
             trace_distance(np.zeros(shape), np.zeros(shape))
