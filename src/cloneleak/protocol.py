@@ -26,11 +26,11 @@ blocks at their rows, and a sweep row compares them directly.
 the reduction, so no d^(2n+1) register is allocated on the oracle path.
 
 Everything that depends only on the shape is built once and kept: the
-encoder's word tables per d, its n-fold pattern products and flat indices
+encoder's words, pattern groups, n-fold pattern products and flat indices
 per (d, n), and the Gram plan of the encoder's support per (d, n, kept
 axes), which row-sets each block has and where its entries sit in the
-support.  The last two share the byte bound ``ORACLE_CACHE_BYTES``, fill on
-first use and hold no value of any state.  A request pays only for its own
+support.  Both share the byte bound ``ORACLE_CACHE_BYTES``, fill on first
+use and hold no value of any state.  A request pays only for its own
 amplitudes: the word images of its state and their contraction in the
 encoder, and in the reduction the gather, the batched Gram product and its
 Hermitian part.  A support other than the encoder's, or a register with
@@ -63,15 +63,15 @@ from .pauli import PauliWord, PureState, enc_coefficient_value, require_states
 # the number of kept qudits: both are allocated.  STATE_AMPLITUDE_LIMIT
 # bounds the d^(2n+1) register that encode writes and whose flat indices
 # encode_support addresses, though encode_support builds only d^(n+2)
-# amplitudes per state, and the d^4 pair table of the encoder tables.
+# amplitudes per state, and the d^4 pair table of the support tables.
 ENCODER_DIM_LIMIT = 4096
 STATE_AMPLITUDE_LIMIT = 10_000_000
 REDUCED_SIDE_LIMIT = 4096
-# ORACLE_CACHE_BYTES bounds the arrays that the oracle keeps between calls,
+# ORACLE_CACHE_BYTES bounds every array that the oracle keeps between calls,
 # its support tables of each (d, n) and its plans of each (d, n, kept axes)
-# together: room for the largest support table the register guard admits
-# (9.4 MB) and one plan of it (2.3 MB).
-ORACLE_CACHE_BYTES = 12_000_000
+# together: room for the largest n >= 2 support table the register guard
+# admits (15.6 MB at (25, 2), words included) and one plan of it (2.3 MB).
+ORACLE_CACHE_BYTES = 18_000_000
 
 NONE, SIGNAL, NOISE, BOTH = "none", "signal", "noise", "both"
 MEMBERSHIPS = (NONE, SIGNAL, NOISE, BOTH)
@@ -213,12 +213,12 @@ class RegisterSubset:
 class ReducedState:
     """Density matrix over kept qudits, labels in canonical order, held as its blocks.
 
-    ``parts`` holds read-only ``(rowsets, blocks)`` pairs: (G, c) kept rows
-    and the (G, c, c) blocks added in at them.  The reductions pass their
-    blocks as ``parts=``, taken over without a copy, and form no side^2
-    array; ``ReducedState(d, labels, matrix)`` keeps a private copy of a
-    dense matrix as one part over every row.  ``.matrix`` adds the parts
-    onto zeros in part order with ``np.add.at`` and returns a fresh
+    ``parts`` holds read-only ``(rowsets, blocks)`` pairs: (G, c) integer
+    kept rows and the (G, c, c) blocks added in at them.  The reductions
+    pass their blocks as ``parts=``, taken over without a copy, and form no
+    side^2 array; ``ReducedState(d, labels, matrix)`` keeps a private copy
+    of a dense matrix as one part over every row.  ``.matrix`` adds the
+    parts onto zeros in part order with ``np.add.at`` and returns a fresh
     read-only array on each access, keeping none, so a caller that needs it
     twice holds it.  States compare and hash by identity.
     """
@@ -240,6 +240,8 @@ class ReducedState:
         held = []
         for rows, blocks in parts:
             rows, blocks = np.asarray(rows).view(), np.asarray(blocks, dtype=complex).view()
+            if not np.issubdtype(rows.dtype, np.integer):
+                raise ValueError(f"block rows must be integers, got {rows.dtype}")
             fits = rows.ndim == 2 and blocks.shape == (*rows.shape, rows.shape[1])
             if not fits or rows.size and not 0 <= rows.min() <= rows.max() < side:
                 raise ValueError(f"blocks {blocks.shape} at rows {rows.shape} misfit side {side}")
@@ -320,44 +322,12 @@ def build_encoder(d: int, n: int) -> np.ndarray:
     return out / d
 
 
-@functools.lru_cache(maxsize=8)
-def _encoder_tables(d: int) -> tuple[np.ndarray, ...]:
-    """The per-d tables of :func:`encode_support`, built once and read-only.
-
-    Returns ``(words, coeffs, members, cells, factor)``: the d^2 words
-    X^k Z^l, row k*d + l, with their coefficients c_kl / d; the branches of
-    each group of equal pair-factor pattern; each group's d pattern cells;
-    and the pair factor at them, over sqrt(d).  Only ``words`` grows as d^4:
-    16 * d^4 bytes, about 157 MB at d = 56, the largest d the d^4 guard
-    admits, so the 8 entries the cache holds take at most about 1.3 GB, and
-    a few KB each for the dimensions of a typical sweep.
-    """
-    shifts = np.array([PauliWord(d, a=k).matrix() for k in range(d)])
-    clocks = np.array([PauliWord(d, b=l).matrix() for l in range(d)])
-    words = (shifts[:, None] @ clocks).reshape(d * d, d, d)  # X^k Z^l on row k*d + l
-    coeffs = np.array([enc_coefficient_value(d, k, l) for k in range(d) for l in range(d)]) / d
-    # (X^k Z^l (x) I)|Bell> lists the entries of X^k Z^l row by row, over
-    # sqrt(d): row k*d + l of this table, scaled where it is gathered
-    pairs = words.reshape(d * d, -1)
-    groups: dict[bytes, list[int]] = {}
-    for branch, pattern in enumerate(pairs != 0):
-        groups.setdefault(pattern.tobytes(), []).append(branch)
-    members = np.array(list(groups.values()))  # (group, branch)
-    # a Pauli word is monomial, so every pattern holds d entries
-    cells = np.nonzero(pairs[members[:, 0]])[1].reshape(len(members), -1)  # (group, entry)
-    factor = pairs[members[:, :, None], cells[:, None, :]] / np.sqrt(d)
-    tables = (words, coeffs, members, cells, factor)
-    for table in tables:  # every caller shares them
-        table.flags.writeable = False
-    return tables
-
-
 class _ByteCache:
     """Read-only arrays kept between calls under a byte bound, least recent evicted.
 
-    A value is stored with the arrays it holds, whose ``nbytes`` count
-    against ``limit`` and which are made read-only; one that alone exceeds
-    ``limit`` is not kept.  Entries fill on first use.
+    A value is a tuple of arrays and of tuples of arrays.  Its arrays'
+    ``nbytes`` count against ``limit``, and they are made read-only; a value
+    that alone exceeds ``limit`` is not kept.  Entries fill on first use.
     """
 
     def __init__(self, limit: int) -> None:
@@ -374,9 +344,9 @@ class _ByteCache:
             self.entries.move_to_end(key)
             return hit[1]
 
-    def put(self, key, value, arrays: Iterable[np.ndarray]) -> None:
+    def put(self, key, value: tuple) -> None:
         """Keep ``value``, evicting the least recent entries until it fits."""
-        arrays = list(arrays)
+        arrays = [a for item in value for a in (item if isinstance(item, tuple) else (item,))]
         for array in arrays:  # every later caller shares them
             array.flags.writeable = False
         size = sum(array.nbytes for array in arrays)
@@ -398,28 +368,45 @@ class _ByteCache:
 _TABLES = _ByteCache(ORACLE_CACHE_BYTES)
 
 
-def _support_tables(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _support_tables(d: int, n: int) -> tuple[np.ndarray, ...]:
     """The per-(d, n) tables of :func:`encode_support`, built once and read-only.
 
-    Returns ``(tail, index)``: the n-fold products of each group's pair
-    factor over its pattern, (group, branch, d^n), and the flat index of
-    every support amplitude, d^(n+2) of them.  Together they take
-    24 * d^(n+2) bytes, at most 9.4 MB at (25, 2), the largest support the
-    register guard admits.  Kept in ``_TABLES``: ``_reduce_blocks`` compares
-    a support's index with this one, and ``encode_support`` hands out a copy.
+    Returns ``(words, coeffs, members, tail, index)``: the d^2 words
+    X^k Z^l, row k*d + l, with their coefficients c_kl / d; the branches of
+    each group of equal pair-factor pattern; the n-fold products of each
+    group's pair factor over its pattern, (group, branch, d^n); and the flat
+    index of every support amplitude, d^(n+2) of them.  They take
+    16 * d^4 + 24 * d^(n+2) bytes and a few KB, 15.6 MB at (25, 2), the
+    largest n >= 2 support the register guard admits; at n = 1 the words
+    outgrow ``ORACLE_CACHE_BYTES`` from d = 33 up, and such tables are built
+    afresh on each call.  Kept in ``_TABLES``: ``_reduce_blocks`` compares a
+    support's index with this one, and ``encode_support`` hands out a copy.
     """
     key = ("support", d, n)
     tables = _TABLES.get(key)
     if tables is None:
-        _, _, members, cells, factor = _encoder_tables(d)
+        shifts = np.array([PauliWord(d, a=k).matrix() for k in range(d)])
+        clocks = np.array([PauliWord(d, b=l).matrix() for l in range(d)])
+        words = (shifts[:, None] @ clocks).reshape(d * d, d, d)  # X^k Z^l on row k*d + l
+        coeffs = np.array([enc_coefficient_value(d, k, l) for k in range(d) for l in range(d)]) / d
+        # (X^k Z^l (x) I)|Bell> lists the entries of X^k Z^l row by row, over
+        # sqrt(d): row k*d + l of this table, scaled where it is gathered
+        pairs = words.reshape(d * d, -1)
+        groups: dict[bytes, list[int]] = {}
+        for branch, pattern in enumerate(pairs != 0):
+            groups.setdefault(pattern.tobytes(), []).append(branch)
+        members = np.array(list(groups.values()))  # (group, branch)
+        # a Pauli word is monomial, so every pattern holds d entries
+        cells = np.nonzero(pairs[members[:, 0]])[1].reshape(len(members), -1)  # (group, entry)
+        factor = pairs[members[:, :, None], cells[:, None, :]] / np.sqrt(d)
         # n-fold products over each pattern, and their flat offsets past axis A
         tail, offsets = factor, cells
         for _ in range(n - 1):
             tail = (tail[..., None] * factor[:, :, None, :]).reshape(*members.shape, -1)
             offsets = (offsets[:, :, None] * d * d + cells[:, None, :]).reshape(len(cells), -1)
         index = (np.arange(d)[:, None] * d ** (2 * n) + offsets[:, None, :]).reshape(-1)
-        tables = (tail, index)
-        _TABLES.put(key, tables, tables)
+        tables = (words, coeffs, members, tail, index)
+        _TABLES.put(key, tables)
     return tables
 
 
@@ -438,9 +425,8 @@ def encode_support(
     d^(2n+3) for a dense contraction, and neither the encoder nor the
     d^(2n+1) register is materialized.  Nothing here depends on a state but
     the d^2 word images of each state and that contraction: the word,
-    coefficient and group tables are built once per d by
-    ``_encoder_tables``, and the n-fold pattern products and the flat
-    indices once per (d, n) by ``_support_tables``.
+    coefficient and group tables, the n-fold pattern products and the flat
+    indices are built once per (d, n) by ``_support_tables``.
 
     Returns ``(index, values)``: the d^(n+2) distinct flat indices of the
     support in the layout of :func:`encode`, in no particular order, and
@@ -458,8 +444,7 @@ def encode_support(
     states = require_states(psi, d)
     require_capacity("register size d^(2n+1)", d ** (2 * n + 1), STATE_AMPLITUDE_LIMIT)
     require_capacity("encoder pair table d^4", d**4, STATE_AMPLITUDE_LIMIT)
-    words, coeffs, members, _, _ = _encoder_tables(d)
-    tail, index = _support_tables(d, n)
+    words, coeffs, members, tail, index = _support_tables(d, n)
     amps = np.array([state.amplitudes for state in states], dtype=complex).reshape(-1, d, 1)
     heads = coeffs[:, None] * (words.reshape(-1, d) @ amps).reshape(-1, d * d, d)
     values = heads[:, members].swapaxes(2, 3) @ tail  # (state, group, A, pattern product)
@@ -635,7 +620,7 @@ def _encoded_plan(
         ((_, steps),) = _support_plan(index, np.ones((1, len(index)), bool), d, n, subset)
         compact = np.min_scalar_type(len(index) - 1)
         steps = tuple((rows, gather.astype(compact)) for rows, gather in steps)
-        _TABLES.put(key, steps, [array for step in steps for array in step])
+        _TABLES.put(key, steps)
     return steps
 
 
@@ -664,8 +649,8 @@ def _reduce_blocks(
         raise ValueError(f"expected amplitudes at {len(index)} indices, got shape {batch.shape}")
     batch = np.atleast_2d(batch)
     encoded = _TABLES.get(("support", d, n))
-    if len(batch) and encoded is not None and np.array_equal(index, encoded[1]) and batch.all():
-        plans = [(list(range(len(batch))), _encoded_plan(encoded[1], d, n, subset))]
+    if len(batch) and encoded is not None and np.array_equal(index, encoded[-1]) and batch.all():
+        plans = [(list(range(len(batch))), _encoded_plan(encoded[-1], d, n, subset))]
     else:
         plans = _support_plan(index, batch != 0, d, n, subset)
     parts = []

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from cloneleak import protocol
 from cloneleak.analytic import aligned_reduced, missing_pair_subset_reduced
+from cloneleak.classify import trace_distance
 from cloneleak.pauli import PauliWord, PureState, enc_coefficient_value, random_states
 from cloneleak.protocol import (
     BOTH,
@@ -29,8 +30,8 @@ from cloneleak.protocol import (
     partial_trace,
     permute_subsystems,
     _TABLES,
-    _encoder_tables,
     _reduce_blocks,
+    _support_tables,
     reduce_encoded,
     reduce_support,
 )
@@ -256,8 +257,7 @@ def test_encode_builds_no_d6_pair_table():
     # a d^6 Kronecker pair table would take 268 MB at d = 16; the d^4 table
     # and the d^3 register take about 1 MB
     psi = random_states(16, 1, seed=4)[0]
-    _encoder_tables.cache_clear()  # measure the tables' build too
-    _TABLES.clear()
+    _TABLES.clear()  # measure the tables' build too
     tracemalloc.start()
     try:
         encode(psi, 16, 1)
@@ -269,11 +269,11 @@ def test_encode_builds_no_d6_pair_table():
 
 def test_encoder_tables_are_shared_read_only_and_never_returned():
     states = random_states(3, 2, seed=4)
-    _encoder_tables.cache_clear()
+    _TABLES.clear()
     index, values = encode_support(states, 3, 2)
     first = index.copy(), values.copy()
-    tables = _encoder_tables(3)
-    assert _encoder_tables(3) is tables
+    tables = _support_tables(3, 2)
+    assert _support_tables(3, 2) is tables
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -515,6 +515,15 @@ def test_reduced_state_copies_the_callers_matrix():
         ReducedState(2, ("S1",), parts=[(np.array([[0, 2]]), np.eye(2)[None])])
 
 
+def test_reduced_state_rows_must_be_integers():
+    # a float row 0.5 was once truncated to row 0 by .matrix, bool rows were
+    # read as 0 and 1, and trace_distance raised a bare IndexError
+    blocks = 0.5 * np.eye(2)[None]
+    for rows in (np.array([[0.5, 1.0]]), np.array([[False, True]])):
+        with pytest.raises(ValueError, match=f"integers, got {rows.dtype}"):
+            trace_distance(ReducedState(2, ("S1",), parts=[(rows, blocks)]), np.eye(2) / 2)
+
+
 def test_reduced_states_compare_and_hash_by_identity():
     # two distinct states once raised on == (an ambiguous array truth value)
     # and on hash (an unhashable array field)
@@ -730,15 +739,17 @@ def test_cached_tables_are_read_only_and_never_returned():
     first = index.copy()
     index[:] = 0  # the caller's own copy
     assert np.array_equal(encode_support(psi, 4, 2)[0], first)
-    assert np.array_equal(_TABLES.get(("support", 4, 2))[1], first)
+    assert np.array_equal(_TABLES.get(("support", 4, 2))[-1], first)
 
 
 def test_cache_bytes_stay_under_the_bound(monkeypatch):
     # a small bound makes the shapes below evict each other; the bound in
     # use holds the largest support table the register guard admits
-    assert 26**5 > STATE_AMPLITUDE_LIMIT >= 25**5 and 24 * 25**4 <= ORACLE_CACHE_BYTES
+    # (25, 2)'s words, products, index, coefficients and groups, and one plan
+    assert 26**5 > STATE_AMPLITUDE_LIMIT >= 25**5
+    assert 16 * 25**4 + 24 * 25**4 + 24 * 25**2 + 6 * 25**4 <= ORACLE_CACHE_BYTES
     _TABLES.clear()
-    monkeypatch.setattr(_TABLES, "limit", 200_000)
+    monkeypatch.setattr(_TABLES, "limit", 250_000)
     shapes = [(d, n) for d in (2, 3, 4, 5, 6) for n in (1, 2, 3)]
     for d, n in shapes:
         psi = random_states(d, 1, seed=d + n)[0]
@@ -748,12 +759,27 @@ def test_cache_bytes_stay_under_the_bound(monkeypatch):
             assert _TABLES.held <= _TABLES.limit
             assert _TABLES.held == sum(array.nbytes for array in _held_arrays())
             assert np.array_equal(rho.matrix, reduce_encoded(encode(psi, d, n), d, n, sub).matrix)
-    # (6, 3): 6^5 support entries of 24 bytes, 187 KB, fit alone; (7, 3)'s
-    # 403 KB do not, and a table too large to keep evicts nothing
+    # (6, 3): 6^5 support entries of 24 bytes and 6^4 words of 16, 208 KB,
+    # fit alone; (7, 3)'s 443 KB do not, and a table too large to keep
+    # evicts nothing
     assert ("support", 6, 3) in _TABLES.entries
     held = list(_TABLES.entries)
     oracle_reduced(random_states(7, 1, seed=7)[0], 7, 3, RegisterSubset.aligned(3, 1))
     assert list(_TABLES.entries) == held
+
+
+def test_the_oracle_keeps_no_more_than_its_bound():
+    # the word tables of d = 30, 31 and 32 take 13, 14.8 and 16.8 MB; each
+    # fits the bound alone, so the store keeps the last one only
+    _TABLES.clear()
+    tracemalloc.start()
+    try:
+        for d in (30, 31, 32):
+            encode_support(random_states(d, 1, seed=d)[0], d, 1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= ORACLE_CACHE_BYTES + 1_000_000
 
 
 def test_reduce_support_validation():
