@@ -15,7 +15,6 @@ from .analytic import aligned_reduced
 from .classify import SweepConfig, analytic_reduced, classify_subset, run_sweep, trace_distance
 from .pauli import PureState, random_states
 from .protocol import (
-    ENCODER_DIM_LIMIT,
     REDUCED_SIDE_LIMIT,
     STATE_AMPLITUDE_LIMIT,
     CapacityError,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "ENCODER_DIM_LIMIT",
     "PureState",
     "REDUCED_SIDE_LIMIT",
     "RegisterSubset",

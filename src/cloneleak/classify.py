@@ -267,8 +267,19 @@ class SweepConfig:
             require_dim(d)
         for n in self.ns:
             require_pairs(n)
+            seen: dict[tuple[str, ...], str] = {}
             for labels in self.subsets:  # a named subset must fit every shape
-                RegisterSubset.from_labels(labels, n)
+                members = RegisterSubset.from_labels(labels, n).members
+                if members in seen:  # a repeat would replay its rows twice
+                    raise ValueError(
+                        f"subsets {seen[members]} and {labels} select the same qudits at n={n}"
+                    )
+                seen[members] = labels
+        for name in ("dims", "ns"):
+            values = getattr(self, name)
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ValueError(f"{name} lists {repeats[0]} twice")
 
     def to_dict(self) -> dict:
         return asdict(self)

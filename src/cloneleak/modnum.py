@@ -10,8 +10,7 @@ the solutions of
 over (a, b) in Z_d x Z_d.  The solution set is a cyclic group of order
 g = gcd(d, p*(q+1) - 1) generated by (-p*d/g, d/g), so the whole leakage
 question reduces to integer arithmetic.  This module keeps that arithmetic
-exact and provides a brute-force enumeration as an independent check on the
-closed form.
+exact; the tests hold it against a brute-force enumeration of Z_d x Z_d.
 """
 
 from __future__ import annotations
@@ -89,16 +88,3 @@ def solve_aligned_system(d: int, p: int, q: int) -> CongruenceSolutionSet:
     step = d // g
     sols = tuple(((-p * v * step) % d, (v * step) % d) for v in range(g))
     return CongruenceSolutionSet(d=d, p=p, q=q, g=g, solutions=sols)
-
-
-def enumerate_system(d: int, p: int, q: int) -> CongruenceSolutionSet:
-    """Brute-force scan of Z_d x Z_d; independent oracle for the closed form."""
-    require_dim(d)
-    _require_shape(p, q)
-    sols = tuple(
-        (a, b)
-        for a in range(d)
-        for b in range(d)
-        if satisfies_system(d, p, q, a, b)
-    )
-    return CongruenceSolutionSet(d=d, p=p, q=q, g=len(sols), solutions=sols)

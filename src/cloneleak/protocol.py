@@ -33,8 +33,10 @@ support.  Both share the byte bound ``ORACLE_CACHE_BYTES``, fill on first
 use and hold no value of any state.  A request pays only for its own
 amplitudes: the word images of its state and their contraction in the
 encoder, and in the reduction the gather, the batched Gram product and its
-Hermitian part.  A support other than the encoder's, or a register with
-exact zeros, is planned afresh by the same code that builds the kept plans.
+Hermitian part.  The registers of a call that hold no exact zero share one
+plan; a support other than the encoder's is planned afresh for them, and a
+register with an exact zero (a basis state's) is planned alone, over its
+own nonzeros, all by the same code that builds the kept plans.
 :func:`encode` scatters the support into a dense register, and
 :func:`reduce_encoded` scans a dense register for its nonzeros and reduces
 them by the same kernel, so it is exact for any vector.
@@ -58,13 +60,11 @@ from .modnum import require_dim, require_int
 from .pauli import PauliWord, PureState, enc_coefficient_value, require_states
 
 # Size guards; exceeding one raises CapacityError instead of silently
-# allocating gigabytes.  ENCODER_DIM_LIMIT bounds the side of the d^(n+1)
-# square encoder, and REDUCED_SIDE_LIMIT the side of a reduced state, d to
-# the number of kept qudits: both are allocated.  STATE_AMPLITUDE_LIMIT
-# bounds the d^(2n+1) register that encode writes and whose flat indices
+# allocating gigabytes.  REDUCED_SIDE_LIMIT bounds the side of a reduced
+# state, d to the number of kept qudits.  STATE_AMPLITUDE_LIMIT bounds the
+# d^(2n+1) register that encode writes and whose flat indices
 # encode_support addresses, though encode_support builds only d^(n+2)
 # amplitudes per state, and the d^4 pair table of the support tables.
-ENCODER_DIM_LIMIT = 4096
 STATE_AMPLITUDE_LIMIT = 10_000_000
 REDUCED_SIDE_LIMIT = 4096
 # ORACLE_CACHE_BYTES bounds every array that the oracle keeps between calls,
@@ -295,33 +295,6 @@ class ReducedState:
         }
 
 
-def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a sequence, empty product being the 1x1 identity."""
-    out = np.ones((1, 1), dtype=complex)
-    for f in factors:
-        out = np.kron(out, f)
-    return out
-
-
-def build_encoder(d: int, n: int) -> np.ndarray:
-    """Dense encoding unitary on [A, S1, ..., Sn].
-
-    Sums the d^2 branches c_kl * (X^k Z^l)^{(x)(n+1)} / d.  Unitarity is not
-    an input here; it emerges from the phase choice and is what the tests
-    pin down.
-    """
-    require_dim(d)
-    require_pairs(n)
-    side = d ** (n + 1)
-    require_capacity("encoder side d^(n+1)", side, ENCODER_DIM_LIMIT)
-    out = np.zeros((side, side), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            w = PauliWord(d, a=k, b=l).matrix()
-            out += enc_coefficient_value(d, k, l) * kron_all([w] * (n + 1))
-    return out / d
-
-
 class _ByteCache:
     """Read-only arrays kept between calls under a byte bound, least recent evicted.
 
@@ -486,10 +459,10 @@ def reduce_encoded(
     ReducedState, or a (samples, d^(2n+1)) array of registers, which gives a
     list with one state per row.  The batch is scanned for exact zeros once,
     and the union of its rows' supports goes to :func:`reduce_support`,
-    which drops each register's own zeros.  The support is read from the
-    amplitudes alone, so the route is exact for any vector, dense ones
-    included.  Raises CapacityError when the kept side d^size exceeds
-    ``REDUCED_SIDE_LIMIT``.
+    which reduces a register holding an exact zero there alone, over its
+    own nonzeros.  The support is read from the amplitudes alone, so the
+    route is exact for any vector, dense ones included.  Raises
+    CapacityError when the kept side d^size exceeds ``REDUCED_SIDE_LIMIT``.
     """
     _kept_side(d, n, subset)
     vecs = np.asarray(vec, dtype=complex)
@@ -570,56 +543,38 @@ def _gram_plan(keys: np.ndarray, side: int) -> list[tuple[np.ndarray, np.ndarray
 
 
 def _support_plan(
-    index: np.ndarray, nonzero: np.ndarray, d: int, n: int, subset: RegisterSubset
-) -> list[tuple[list[int], list[tuple[np.ndarray, np.ndarray]]]]:
-    """Plan the Gram blocks of registers whose nonzero entries ``nonzero`` marks.
+    index: np.ndarray, d: int, n: int, subset: RegisterSubset
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Plan the Gram blocks of a support whose every entry is nonzero.
 
-    ``index`` lists the flat indices of the support, checked here to be in
-    range and distinct, and ``nonzero`` holds one row of flags over it per
-    register.  Registers with one nonzero pattern share one plan: returns
-    ``(registers, steps)`` per pattern, with one ``(rowsets, gather)`` step
-    per block shape: the (groups, c) kept rows of each block and the
-    (groups, K, c) positions in ``index`` of the entries summed into it.
+    ``index`` lists distinct flat indices in range, which the caller has
+    checked.  Returns one ``(rowsets, gather)`` step per block shape: the
+    (groups, c) kept rows of each block and the (groups, K, c) positions in
+    ``index`` of the entries summed into it, in the smallest unsigned type
+    that holds them.
     """
-    side, size = d**subset.size, 2 * n + 1
-    if len(index) and not 0 <= index.min() <= index.max() < d**size:
-        raise ValueError(f"flat indices must lie in 0..{d**size - 1}")
-    keys = _column_keys(index, d, size, subset.kept_axes())
+    keys = _column_keys(index, d, 2 * n + 1, subset.kept_axes())
     order = keys.argsort(kind="stable")  # by column, then by row
     keys = keys[order]
-    if (keys[1:] == keys[:-1]).any():
-        raise ValueError("flat indices must be distinct")
-    nonzero = nonzero[:, order]
-    patterns: dict[bytes, list[int]] = {}
-    for reg, bits in enumerate(np.packbits(nonzero, axis=1)):
-        patterns.setdefault(bits.tobytes(), []).append(reg)
-    plans = []
-    for regs in patterns.values():
-        mine = nonzero[regs[0]].nonzero()[0]
-        at = order[mine]
-        steps = [(rowsets, at[entries]) for rowsets, entries in _gram_plan(keys[mine], side)]
-        plans.append((regs, steps))
-    return plans
+    order = order.astype(np.min_scalar_type(max(len(index) - 1, 0)))
+    return tuple((rowsets, order[entries]) for rowsets, entries in _gram_plan(keys, d**subset.size))
 
 
 def _encoded_plan(
     index: np.ndarray, d: int, n: int, subset: RegisterSubset
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The steps of ``_support_plan`` for the encoder's support, every entry nonzero.
+    """``_support_plan`` of the encoder's support, built once per (d, n, kept axes).
 
-    ``index`` is ``_support_tables(d, n)``'s.  Built once per (d, n,
-    ``subset.kept_axes()``) by ``_support_plan`` itself and held in
-    ``_TABLES`` with each gather in the smallest unsigned type that holds
-    its positions.  A plan holds one gather position (at most 4 bytes) and
-    at most one row (2 bytes, rows lying below ``REDUCED_SIDE_LIMIT``) per
-    support entry, so it takes at most 6 * d^(n+2) bytes, 2.3 MB at (25, 2).
+    ``index`` is ``_support_tables(d, n)``'s.  The plan is held in
+    ``_TABLES`` under (d, n, ``subset.kept_axes()``).  It holds one gather
+    position (at most 4 bytes) and at most one row (2 bytes, rows lying
+    below ``REDUCED_SIDE_LIMIT``) per support entry, so it takes at most
+    6 * d^(n+2) bytes, 2.3 MB at (25, 2).
     """
     key = ("plan", d, n, subset.kept_axes())
     steps = _TABLES.get(key)
     if steps is None:
-        ((_, steps),) = _support_plan(index, np.ones((1, len(index)), bool), d, n, subset)
-        compact = np.min_scalar_type(len(index) - 1)
-        steps = tuple((rows, gather.astype(compact)) for rows, gather in steps)
+        steps = _support_plan(index, d, n, subset)
         _TABLES.put(key, steps)
     return steps
 
@@ -629,16 +584,17 @@ def _reduce_blocks(
 ) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
     """The Gram-block kernel of :func:`reduce_support`: each register's blocks.
 
-    Takes what ``reduce_support`` takes and returns one
-    ``(registers, rowsets, blocks)`` part per plan shape of each distinct
-    nonzero pattern in the batch: the batch rows that share the pattern,
-    the (groups, c) kept rows of each block, ascending within a block, and
-    the exactly Hermitian (len(registers), groups, c, c) blocks.  A
-    register's state is the sum of its parts' blocks added in at their
-    rows, which is all that :func:`reduce_support` does with them.  When
-    ``index`` is the encoder's own for (d, n) and no register holds an
-    exact zero, the plan is ``_encoded_plan``'s; any other support is
-    planned afresh by ``_support_plan``, which builds that plan too.
+    Takes what ``reduce_support`` takes and returns ``(registers, rowsets,
+    blocks)`` parts: the batch rows that share a plan, the (groups, c) kept
+    rows of each block, ascending within a block, and the exactly Hermitian
+    (len(registers), groups, c, c) blocks.  A register's state is the sum
+    of its parts' blocks added in at their rows, which is all that
+    :func:`reduce_support` does with them.  The whole index is checked
+    first, range and then distinctness, unless it is the encoder's own for
+    (d, n).  The registers with no exact zero share one plan,
+    ``_encoded_plan``'s when ``index`` is the encoder's and one planned
+    afresh otherwise; a register holding an exact zero is planned alone,
+    over its own nonzero entries.
     """
     _kept_side(d, n, subset)
     index = np.asarray(index)
@@ -648,14 +604,25 @@ def _reduce_blocks(
     if batch.ndim not in (1, 2) or batch.shape[-1] != len(index):
         raise ValueError(f"expected amplitudes at {len(index)} indices, got shape {batch.shape}")
     batch = np.atleast_2d(batch)
-    encoded = _TABLES.get(("support", d, n))
-    if len(batch) and encoded is not None and np.array_equal(index, encoded[-1]) and batch.all():
-        plans = [(list(range(len(batch))), _encoded_plan(encoded[-1], d, n, subset))]
-    else:
-        plans = _support_plan(index, batch != 0, d, n, subset)
+    tables = _TABLES.get(("support", d, n))
+    encoded = tables is not None and np.array_equal(index, tables[-1])
+    if not encoded and len(index):
+        ordered = np.sort(index)
+        if not 0 <= ordered[0] <= ordered[-1] < d ** (2 * n + 1):
+            raise ValueError(f"flat indices must lie in 0..{d ** (2 * n + 1) - 1}")
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("flat indices must be distinct")
+    full = batch.all(axis=1)
+    plans = []
+    if full.any():
+        steps = (_encoded_plan if encoded else _support_plan)(index, d, n, subset)
+        plans.append((full.nonzero()[0].tolist(), batch if full.all() else batch[full], steps))
+    for reg in (~full).nonzero()[0]:
+        mine = batch[reg].nonzero()[0]
+        steps = _support_plan(index[mine], d, n, subset)
+        plans.append(([int(reg)], batch[reg, mine][None], steps))
     parts = []
-    for regs, steps in plans:
-        source = batch if len(plans) == 1 else batch[regs]
+    for regs, source, steps in plans:
         for rowsets, gather in steps:
             w = source.take(gather, axis=1)  # (registers, groups, K, c)
             gram = w.swapaxes(-1, -2) @ w.conj()
@@ -679,14 +646,14 @@ def reduce_support(
     The source qudit and every unselected qudit are traced out exactly,
     without forming a density matrix: rho = sum_t m_t m_t^H over the traced
     columns t.  The kernel, ``_reduce_blocks``, groups the columns that hold
-    the same tuple of nonzero rows; that plan depends on ``index``, the
-    subset and where the amplitudes are zero, and for the encoder's own
-    support with no zero amplitude it is built once per (d, n, subset) and
-    kept, so a call pays only for the gather and the products below.  A
-    group's c x c block of rho is the Gram of its K columns, W^T conj(W) for
-    every group of one (c, K) shape in one batched matmul, with its
-    Hermitian part taken in place, so each block and ``.matrix`` are exactly
-    Hermitian.  Each state holds its register's blocks at their rows and no
+    the same tuple of nonzero rows.  The registers with no zero amplitude
+    share one plan of ``index`` and the subset, built once per (d, n,
+    subset) and kept for the encoder's own support, so a call pays only for
+    the gather and the products below; a register with an exact zero is
+    planned alone, over its own nonzero entries.  A group's c x c block of
+    rho is the Gram of its K columns, W^T conj(W) for every group of one
+    (c, K) shape in one batched matmul, with its Hermitian part taken in
+    place, so each block and ``.matrix`` are exactly Hermitian.  Each state holds its register's blocks at their rows and no
     dense matrix: one shape with disjoint row-sets on an aligned (c = d) or
     authorized subset of an encoded register, one dense Gram on a dense
     register, and overlapping groups on an irregular vector, which add up in

@@ -9,6 +9,11 @@ and ``dense_reduced`` is the dense route itself: the whole register, with
 no support, plan or block in between.
 ``scan_pairs`` runs the sweep's comparison, ``classify._max_distance``, on
 any list of pairs of dense states, laid out by ``dense_stacks``.
+``build_encoder`` is the dense encoding unitary, summed branch by branch
+from Kronecker products (``kron_all``) under its own side guard
+``ENCODER_DIM_LIMIT``, and ``enumerate_system`` solves the aligned
+congruence system by scanning all of Z_d x Z_d; the package computes
+neither, so both stay independent of what they check.
 """
 
 import itertools
@@ -18,9 +23,71 @@ import numpy as np
 
 from cloneleak import classify
 from cloneleak.classify import trace_distance
-from cloneleak.modnum import require_dim
-from cloneleak.pauli import PauliWord, PureState, expectation, phase_value, random_states
-from cloneleak.protocol import ReducedState, RegisterSubset, encode, reduce_encoded
+from cloneleak.modnum import (
+    CongruenceSolutionSet,
+    _require_shape,
+    require_dim,
+    satisfies_system,
+)
+from cloneleak.pauli import (
+    PauliWord,
+    PureState,
+    enc_coefficient_value,
+    expectation,
+    phase_value,
+    random_states,
+)
+from cloneleak.protocol import (
+    ReducedState,
+    RegisterSubset,
+    encode,
+    reduce_encoded,
+    require_capacity,
+    require_pairs,
+)
+
+# the side of the d^(n+1) square encoder that build_encoder allocates
+ENCODER_DIM_LIMIT = 4096
+
+
+def kron_all(factors) -> np.ndarray:
+    """Kronecker product of a sequence, empty product being the 1x1 identity."""
+    out = np.ones((1, 1), dtype=complex)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def build_encoder(d: int, n: int) -> np.ndarray:
+    """Dense encoding unitary on [A, S1, ..., Sn].
+
+    Sums the d^2 branches c_kl * (X^k Z^l)^{(x)(n+1)} / d.  Unitarity is not
+    an input here; it emerges from the phase choice and is what the tests
+    pin down.
+    """
+    require_dim(d)
+    require_pairs(n)
+    side = d ** (n + 1)
+    require_capacity("encoder side d^(n+1)", side, ENCODER_DIM_LIMIT)
+    out = np.zeros((side, side), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            w = PauliWord(d, a=k, b=l).matrix()
+            out += enc_coefficient_value(d, k, l) * kron_all([w] * (n + 1))
+    return out / d
+
+
+def enumerate_system(d: int, p: int, q: int) -> CongruenceSolutionSet:
+    """Brute-force scan of Z_d x Z_d; independent oracle for the closed form."""
+    require_dim(d)
+    _require_shape(p, q)
+    sols = tuple(
+        (a, b)
+        for a in range(d)
+        for b in range(d)
+        if satisfies_system(d, p, q, a, b)
+    )
+    return CongruenceSolutionSet(d=d, p=p, q=q, g=len(sols), solutions=sols)
 
 
 def bell_state(d: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from cloneleak.analytic import (
     missing_pair_reduced,
 )
 from cloneleak.classify import maximally_mixed, trace_distance
-from cloneleak.modnum import enumerate_system, solve_aligned_system, system_gcd
+from cloneleak.modnum import solve_aligned_system, system_gcd
 from cloneleak.pauli import (
     PauliWord,
     enc_coefficient_value,
@@ -25,13 +25,17 @@ from cloneleak.pauli import (
 )
 from cloneleak.protocol import (
     RegisterSubset,
-    build_encoder,
     encode,
-    kron_all,
     oracle_reduced,
     reduce_encoded,
 )
-from oracle_helpers import numeric_independence_test, single_clone_reduced
+from oracle_helpers import (
+    build_encoder,
+    enumerate_system,
+    kron_all,
+    numeric_independence_test,
+    single_clone_reduced,
+)
 
 SEED = 2026
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cloneleak import analytic
+from cloneleak import analytic, protocol
 from cloneleak.analytic import (
     LeakTerm,
     _aligned_blocks,
@@ -21,7 +21,6 @@ from cloneleak.classify import analytic_reduced, trace_distance
 from cloneleak.modnum import satisfies_system, solve_aligned_system
 from cloneleak.pauli import PauliWord, PureState, expectation, phase_value, random_states
 from cloneleak.protocol import (
-    ENCODER_DIM_LIMIT,
     MEMBERSHIPS,
     NOISE,
     NONE,
@@ -30,13 +29,11 @@ from cloneleak.protocol import (
     STATE_AMPLITUDE_LIMIT,
     CapacityError,
     RegisterSubset,
-    build_encoder,
     encode,
-    kron_all,
     oracle_reduced,
     reduce_encoded,
 )
-from oracle_helpers import single_clone_reduced
+from oracle_helpers import ENCODER_DIM_LIMIT, build_encoder, kron_all, single_clone_reduced
 
 
 def word_basis_element(d, p, q, a, b):
@@ -499,11 +496,13 @@ def test_aligned_states_are_exactly_hermitian():
 
 def test_closed_forms_share_no_reduction_code_with_the_oracle():
     # the sweep's cross-check means something only while the two routes
-    # are computed apart
+    # are computed apart; every name listed is the oracle's own, so the list
+    # cannot go stale when the oracle changes
     oracle_names = {
-        "_column_keys", "_gram_plan", "_reduce_blocks", "_scatter_blocks", "encode",
+        "_column_keys", "_gram_plan", "_reduce_blocks", "_runs", "_kept_side", "encode",
         "encode_support", "oracle_reduced", "reduce_encoded", "reduce_support",
-        "_support_tables", "_support_plan", "_encoded_plan", "_TABLES",
+        "_support_tables", "_support_plan", "_encoded_plan", "_TABLES", "_ByteCache",
     }
+    assert oracle_names <= set(vars(protocol))
     assert not oracle_names & set(vars(analytic))
     assert "protocol" not in vars(analytic)

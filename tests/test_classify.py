@@ -400,6 +400,17 @@ def test_sweep_config_validation():
     assert SweepConfig(dims=range(2, 4), ns=range(1, 3)).dims == (2, 3)
 
 
+def test_sweep_config_rejects_repeated_entries():
+    # each repeat once replayed its rows twice: --dims 2,2 --ns 1 gave 4 rows
+    with pytest.raises(ValueError, match="dims lists 2 twice"):
+        SweepConfig(dims=(2, 3, 2), ns=(1,))
+    with pytest.raises(ValueError, match="ns lists 1 twice"):
+        SweepConfig(dims=(2,), ns=(1, 2, 1))
+    # two spellings of one subset select the same qudits
+    with pytest.raises(ValueError, match="S1,N2 and N2,S1 select the same qudits at n=2"):
+        SweepConfig(dims=(3,), ns=(2, 3), family="named", subsets=("S1,N2", "N2,S1"))
+
+
 def test_run_sweep_aligned_grid_agrees():
     config = SweepConfig(dims=(2, 3, 4), ns=(1, 2), samples=6, seed=11)
     report = run_sweep(config)

@@ -275,6 +275,23 @@ def test_sweep_rejects_subsets_outside_the_named_family(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (("--dims", "2,2", "--ns", "1"), "dims lists 2 twice"),
+        (("--dims", "2", "--ns", "1,1"), "ns lists 1 twice"),
+        (("--dims", "3", "--ns", "2", "--family", "named", "--subset", "S1,N2",
+          "--subset", "N2,S1"), "subsets S1,N2 and N2,S1 select the same qudits at n=2"),
+    ],
+    ids=["dims", "ns", "named"],
+)
+def test_sweep_rejects_a_repeated_entry(capsys, grid, message):
+    code, out, err = run(capsys, "sweep", *grid)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 def test_sweep_named_family(capsys):
     code, out, _ = run(
         capsys,

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from cloneleak.modnum import (
     CongruenceSolutionSet,
     delta,
-    enumerate_system,
     require_dim,
     satisfies_system,
     solve_aligned_system,
     system_gcd,
 )
+from oracle_helpers import enumerate_system
 
 dims = st.integers(min_value=2, max_value=30)
 counts = st.integers(min_value=0, max_value=6)

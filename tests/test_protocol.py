@@ -13,7 +13,6 @@ from cloneleak.classify import trace_distance
 from cloneleak.pauli import PauliWord, PureState, enc_coefficient_value, random_states
 from cloneleak.protocol import (
     BOTH,
-    ENCODER_DIM_LIMIT,
     MEMBERSHIPS,
     NONE,
     ORACLE_CACHE_BYTES,
@@ -21,10 +20,8 @@ from cloneleak.protocol import (
     CapacityError,
     ReducedState,
     RegisterSubset,
-    build_encoder,
     encode,
     encode_support,
-    kron_all,
     oracle_reduced,
     parse_label,
     partial_trace,
@@ -35,7 +32,7 @@ from cloneleak.protocol import (
     reduce_encoded,
     reduce_support,
 )
-from oracle_helpers import bell_state, dense_reduced
+from oracle_helpers import ENCODER_DIM_LIMIT, bell_state, build_encoder, dense_reduced, kron_all
 
 
 def test_bell_state_amplitudes():
@@ -717,6 +714,35 @@ def test_a_basis_register_is_not_given_the_cached_plan():
     assert np.array_equal(rho.matrix, reduce_encoded(encode(basis, 3, 2), 3, 2, sub).matrix)
 
 
+def test_a_register_with_an_exact_zero_is_planned_alone():
+    # two basis rows with one zero pattern between random rows: each basis
+    # row gets parts of its own, and the random rows share one plan
+    sub = RegisterSubset.from_labels("S1,N1,S2", 2)
+    basis = PureState.basis(3, 1)
+    first, second, third = random_states(3, 3, seed=32)
+    index, values = encode_support([first, basis, second, basis, third], 3, 2)
+    assert np.array_equal(values[1], values[3]) and not values[1].all()
+    parts = _reduce_blocks(index, values, 3, 2, sub)
+    assert {tuple(regs) for regs, _, _ in parts} == {(0, 2, 4), (1,), (3,)}
+    for row, rho in enumerate(reduce_support(index, values, 3, 2, sub)):
+        alone = reduce_support(index, values[row], 3, 2, sub)
+        assert np.array_equal(rho.matrix, alone.matrix), row
+
+
+def test_a_fresh_plan_gathers_in_the_smallest_unsigned_type():
+    # a plan's gathers take one position per support entry; the encoder's
+    # kept plans and the plans made afresh are built by one planner
+    for d, n, labels in ((2, 3, "S1,N2,S3"), (4, 2, "S1,N2"), (5, 3, "S1,S2,N3")):
+        index, _ = encode_support(PureState.basis(d, 0), d, n)
+        sub = RegisterSubset.from_labels(labels, n)
+        for support in (index, index[::-1], index[: len(index) // 3]):
+            steps = protocol._support_plan(support, d, n, sub)
+            assert steps and sum(gather.size for _, gather in steps) == len(support)
+            for _, gather in steps:
+                assert gather.dtype == np.min_scalar_type(len(support) - 1), (d, n)
+                assert np.issubdtype(gather.dtype, np.unsignedinteger)
+
+
 def _held_arrays() -> list[np.ndarray]:
     """Every array the oracle's cache holds: support tables and plan steps."""
     held = []
@@ -795,6 +821,15 @@ def test_reduce_support_validation():
         reduce_support(index + 8, values, 2, 1, sub)
     with pytest.raises(ValueError, match="spans"):
         reduce_support(index, values, 2, 1, RegisterSubset.from_labels("S1", 2))
+    # a register with an exact zero is planned over its own nonzeros, but
+    # the whole index is checked first, range before distinctness: these
+    # bad indices sit at zero amplitudes
+    with pytest.raises(ValueError, match="distinct"):
+        reduce_support(np.array([0, 0]), np.array([[1, 0]]), 2, 1, sub)
+    with pytest.raises(ValueError, match="lie in"):
+        reduce_support(np.array([0, 8]), np.array([1, 0]), 2, 1, sub)
+    with pytest.raises(ValueError, match="lie in"):
+        reduce_support(np.array([8, 8, 0]), np.array([0, 0, 1]), 2, 1, sub)
     # any integer type of index is read by value
     small = reduce_support(index.astype(np.uint8), values, 2, 1, sub)
     assert np.array_equal(small.matrix, reduce_support(index, values, 2, 1, sub).matrix)
