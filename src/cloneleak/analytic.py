@@ -25,6 +25,13 @@ product: an aligned term (a, b) shifts each digit by +a on a signal and -a
 on a noise, with a phase that is a power of zeta = exp(i*pi/d) (see
 aligned_reduced), and a missing-pair entry compares shifts, noise sums and
 lone digits (see missing_pair_subset_reduced).
+
+What depends only on the shape is built once and kept, apart from the
+oracle's store: the digit table per (d, kept count), and per aligned
+(d, p, q) the orbits and the leak terms with the 2d roots of unity.  None
+holds a word matrix, a phase table or any value of a state, so an aligned
+request pays for its word images, its expectations and the entries they
+write; one with no leak term writes only its diagonal.
 """
 
 from __future__ import annotations
@@ -130,6 +137,21 @@ def _orbits(d: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return rowsets, digit_sum
 
 
+@functools.lru_cache(maxsize=128)
+def _terms(d: int, p: int, q: int) -> tuple[tuple[LeakTerm, ...], np.ndarray]:
+    """The leak terms of an aligned state, p signals then q noises, and the 2d roots.
+
+    Returns ``leaked_words`` of the congruence solutions and the read-only
+    powers exp(i*pi*r/d) for r in 0..2d-1.  Cached per (d, p, q) beside
+    ``_orbits`` and with its room; an entry holds at most d - 1 terms and
+    2d roots, a few KB at d = 56 and no word matrix or phase table.
+    """
+    terms = leaked_words(solve_aligned_system(d, p, q))
+    roots = np.exp(1j * np.pi * np.arange(2 * d) / d)
+    roots.flags.writeable = False
+    return terms, roots
+
+
 def _aligned_blocks(
     d: int, subset: RegisterSubset, psi: PureState | Sequence[PureState]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -139,21 +161,25 @@ def _aligned_blocks(
     ``rowsets``.  Term (a, b) writes, for each column, the entry whose row
     is a members further along the column's orbit, and the diagonal holds
     the background 1/d^n.  Each block is then replaced by its Hermitian
-    part, so the state is exactly Hermitian.  The (states, side/d, d, d)
+    part, so the state is exactly Hermitian; with no term, the real diagonal
+    already is.  The terms and roots come from ``_terms`` and the orbits
+    from ``_orbits``, both cached per (d, p, q).  The (states, side/d, d, d)
     blocks are what :func:`aligned_reduced`'s states hold.
     """
     if not subset.is_aligned:
         raise ValueError(f"subset {subset} is not aligned")
     n, p = subset.n, subset.signal_count
-    sols = solve_aligned_system(d, p, n - p)
+    require_dim(d)  # before the caches: 2.0 would find 2's entries
     states = require_states(psi, d)
+    terms, roots = _terms(d, p, n - p)
     rowsets, digit_sum = _orbits(d, p, n - p)
     side = rowsets.size
-    roots = np.exp(1j * np.pi * np.arange(2 * d) / d)
     members = np.arange(d)
     blocks = np.zeros((len(states), len(rowsets), d, d), dtype=complex)
     blocks[:, :, members, members] = 1 / side
-    for term in leaked_words(sols):
+    if not terms:
+        return rowsets, blocks
+    for term in terms:
         word = term.signal_word().matrix()  # built once; <psi|word|psi> as pauli.expectation
         values = roots[(term.phase_exponent + 2 * term.b * digit_sum) % (2 * d)]
         scale = np.array([np.vdot(psi.amplitudes, word @ psi.amplitudes) for psi in states]) / side

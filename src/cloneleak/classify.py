@@ -594,8 +594,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     """Replay the classifier over the configured grid; deterministic output."""
     rows: list[SweepRow] = []
     for d in config.dims:
+        states = random_states(d, config.samples, config.seed)  # the same inputs at every n
         for n in config.ns:
-            states = random_states(d, config.samples, config.seed)
             try:
                 support = encode_support(states, d, n)
             except CapacityError as exc:

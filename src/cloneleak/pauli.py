@@ -11,8 +11,8 @@ criterion an integer statement rather than a numerical one.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -30,13 +30,16 @@ encoder's words, pattern groups, n-fold pattern products and flat indices
 per (d, n), and the Gram plan of the encoder's support per (d, n, kept
 axes), which row-sets each block has and where its entries sit in the
 support.  Both share the byte bound ``ORACLE_CACHE_BYTES``, fill on first
-use and hold no value of any state.  A request pays only for its own
-amplitudes: the word images of its state and their contraction in the
-encoder, and in the reduction the gather, the batched Gram product and its
-Hermitian part.  The registers of a call that hold no exact zero share one
-plan; a support other than the encoder's is planned afresh for them, and a
-register with an exact zero (a basis state's) is planned alone, over its
-own nonzeros, all by the same code that builds the kept plans.
+use and hold no value of any state.  A :class:`RegisterSubset` computes
+its kept labels and axes once per instance, and :func:`oracle_reduced`
+hands the encoder's kept index to the kernel uncopied, which knows it by
+identity instead of comparing it entry by entry.  A request pays only for
+its own amplitudes: the word images of its state and their contraction in
+the encoder, and in the reduction the gather, the batched Gram product and
+its Hermitian part.  The registers of a call that hold no exact zero share
+one plan; a support other than the encoder's is planned afresh for them,
+and a register with an exact zero (a basis state's) is planned alone, over
+its own nonzeros, all by the same code that builds the kept plans.
 :func:`encode` scatters the support into a dense register, and
 :func:`reduce_encoded` scans a dense register for its nonzeros and reduces
 them by the same kernel, so it is exact for any vector.
@@ -188,22 +191,28 @@ class RegisterSubset:
     @property
     def size(self) -> int:
         """Number of selected qudits."""
-        return len(self._kept())
+        return len(self._layout[0])
 
-    def _kept(self) -> list[tuple[str, int]]:
-        """(label, register axis) per selected qudit: S_i on 2i-1, N_i on 2i."""
+    @functools.cached_property
+    def _layout(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """(labels, register axes) of the selected qudits: S_i on 2i-1, N_i on 2i.
+
+        Kept in the instance's ``__dict__``, which no comparison, hash or
+        ``dataclasses.replace`` reads.
+        """
         pairs = list(enumerate(self.members, 1))
         sig = [(f"S{i}", 2 * i - 1) for i, m in pairs if m in (SIGNAL, BOTH)]
         noi = [(f"N{i}", 2 * i) for i, m in pairs if m in (NOISE, BOTH)]
-        return sig + noi
+        labels, axes = zip(*sig, *noi)
+        return labels, axes
 
     def kept_labels(self) -> tuple[str, ...]:
         """Selected qudits in canonical order: signals ascending, then noises."""
-        return tuple(label for label, _ in self._kept())
+        return self._layout[0]
 
     def kept_axes(self) -> tuple[int, ...]:
         """Register axis of each selected qudit, in the order of ``kept_labels``."""
-        return tuple(axis for _, axis in self._kept())
+        return self._layout[1]
 
     def __str__(self) -> str:
         return ",".join(self.kept_labels())
@@ -240,7 +249,7 @@ class ReducedState:
         held = []
         for rows, blocks in parts:
             rows, blocks = np.asarray(rows).view(), np.asarray(blocks, dtype=complex).view()
-            if not np.issubdtype(rows.dtype, np.integer):
+            if rows.dtype.kind not in "iu":
                 raise ValueError(f"block rows must be integers, got {rows.dtype}")
             fits = rows.ndim == 2 and blocks.shape == (*rows.shape, rows.shape[1])
             if not fits or rows.size and not 0 <= rows.min() <= rows.max() < side:
@@ -352,8 +361,9 @@ def _support_tables(d: int, n: int) -> tuple[np.ndarray, ...]:
     16 * d^4 + 24 * d^(n+2) bytes and a few KB, 15.6 MB at (25, 2), the
     largest n >= 2 support the register guard admits; at n = 1 the words
     outgrow ``ORACLE_CACHE_BYTES`` from d = 33 up, and such tables are built
-    afresh on each call.  Kept in ``_TABLES``: ``_reduce_blocks`` compares a
-    support's index with this one, and ``encode_support`` hands out a copy.
+    afresh on each call.  Kept in ``_TABLES``: ``_reduce_blocks`` knows this
+    index by identity when ``oracle_reduced`` passes it on and compares any
+    other support's index with it, and ``encode_support`` hands out a copy.
     """
     key = ("support", d, n)
     tables = _TABLES.get(key)
@@ -412,6 +422,18 @@ def encode_support(
     d^(2n+1), whose layout the indices address, or the d^2 x d^2 pair
     table, the larger object at n = 1, exceeds ``STATE_AMPLITUDE_LIMIT``.
     """
+    index, values = _encoded_support(psi, d, n)
+    return index.copy(), values
+
+
+def _encoded_support(
+    psi: PureState | Sequence[PureState], d: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`encode_support` with its index not copied: ``_support_tables``' own.
+
+    That index is read-only when ``_TABLES`` keeps it, and ``_reduce_blocks``
+    then knows it by identity.
+    """
     require_dim(d)
     require_pairs(n)
     states = require_states(psi, d)
@@ -422,7 +444,7 @@ def encode_support(
     heads = coeffs[:, None] * (words.reshape(-1, d) @ amps).reshape(-1, d * d, d)
     values = heads[:, members].swapaxes(2, 3) @ tail  # (state, group, A, pattern product)
     values = values.reshape(len(states), index.size)
-    return index.copy(), values[0] if isinstance(psi, PureState) else values
+    return index, values[0] if isinstance(psi, PureState) else values
 
 
 def encode(psi: PureState | Sequence[PureState], d: int, n: int) -> np.ndarray:
@@ -591,21 +613,21 @@ def _reduce_blocks(
     of its parts' blocks added in at their rows, which is all that
     :func:`reduce_support` does with them.  The whole index is checked
     first, range and then distinctness, unless it is the encoder's own for
-    (d, n).  The registers with no exact zero share one plan,
-    ``_encoded_plan``'s when ``index`` is the encoder's and one planned
-    afresh otherwise; a register holding an exact zero is planned alone,
-    over its own nonzero entries.
+    (d, n): the kept array itself, or one equal to it.  The registers with
+    no exact zero share one plan, ``_encoded_plan``'s when ``index`` is the
+    encoder's and one planned afresh otherwise; a register holding an exact
+    zero is planned alone, over its own nonzero entries.
     """
     _kept_side(d, n, subset)
     index = np.asarray(index)
     batch = np.asarray(values, dtype=complex)
-    if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+    if index.ndim != 1 or index.dtype.kind not in "iu":
         raise ValueError(f"expected a 1-D array of flat indices, got {index.dtype} {index.shape}")
     if batch.ndim not in (1, 2) or batch.shape[-1] != len(index):
         raise ValueError(f"expected amplitudes at {len(index)} indices, got shape {batch.shape}")
     batch = np.atleast_2d(batch)
     tables = _TABLES.get(("support", d, n))
-    encoded = tables is not None and np.array_equal(index, tables[-1])
+    encoded = tables is not None and (index is tables[-1] or np.array_equal(index, tables[-1]))
     if not encoded and len(index):
         ordered = np.sort(index)
         if not 0 <= ordered[0] <= ordered[-1] < d ** (2 * n + 1):
@@ -676,9 +698,10 @@ def oracle_reduced(psi: PureState, d: int, n: int, subset: RegisterSubset) -> Re
     """Encode psi and contract: the ground-truth reduced state of a subset.
 
     The encoder's support goes straight to :func:`reduce_support`, so no
-    d^(2n+1) register is allocated, filled or scanned.
+    d^(2n+1) register is allocated, filled or scanned, and its index goes
+    uncopied, so the kernel knows it for the encoder's without a compare.
     """
-    return reduce_support(*encode_support(psi, d, n), d, n, subset)
+    return reduce_support(*_encoded_support(psi, d, n), d, n, subset)
 
 
 def partial_trace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

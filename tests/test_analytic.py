@@ -1,6 +1,7 @@
 """Closed-form reduced states against the contraction oracle."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from cloneleak import analytic, protocol
 from cloneleak.analytic import (
     LeakTerm,
     _aligned_blocks,
+    _orbits,
+    _terms,
     aligned_coefficient_exponent,
     aligned_reduced,
     _digits,
@@ -170,6 +173,11 @@ def test_aligned_reduced_dimension_checks():
         aligned_reduced(4, RegisterSubset.aligned(2, 1), [random_states(4, 1, seed=0)[0], psi])
     with pytest.raises(CapacityError):
         aligned_reduced(5, RegisterSubset.aligned(6, 1), random_states(5, 1, seed=0)[0])
+    # checked before the shape caches, where 2.0 would find the entries of 2
+    psi2 = random_states(2, 1, seed=0)[0]
+    aligned_reduced(2, RegisterSubset.aligned(2, 1), psi2)
+    with pytest.raises(TypeError, match="qudit dimension must be an int"):
+        aligned_reduced(2.0, RegisterSubset.aligned(2, 1), psi2)
 
 
 def test_closed_forms_reject_inputs_that_are_not_states():
@@ -494,6 +502,49 @@ def test_aligned_states_are_exactly_hermitian():
     assert count == 56
 
 
+def test_aligned_blocks_are_the_same_from_cold_and_warm_caches():
+    # the leak terms and roots are cached per (d, p, q) beside the orbits,
+    # and a state with no leak term skips the Hermitian step: its blocks
+    # hold exactly 1/side on the diagonal and 0 elsewhere
+    free = leaky = 0
+    for d, n in itertools.product(range(2, 9), (1, 2, 3)):
+        states = random_states(d, 2, seed=11 * d + n)
+        for members in itertools.product((SIGNAL, NOISE), repeat=n):
+            sub = RegisterSubset(members)
+            for cache in (_terms, _orbits, _digits):
+                cache.cache_clear()
+            cold_rows, cold = _aligned_blocks(d, sub, states)
+            warm_rows, warm = _aligned_blocks(d, sub, states)
+            assert warm_rows is cold_rows and cold.tobytes() == warm.tobytes(), (d, n, members)
+            p = sub.signal_count
+            if _terms(d, p, n - p)[0]:
+                leaky += 1
+                continue
+            free += 1
+            diagonal = np.zeros_like(cold)
+            diagonal[:, :, range(d), range(d)] = 1 / d**n
+            assert cold.tobytes() == diagonal.tobytes(), (d, n, members)
+    assert (free, leaky) == (69, 29)
+
+
+def test_closed_form_caches_hold_no_word_matrices():
+    # at n = 1 the subset S1 leaks d - 1 words; a cache that kept each
+    # term's d x d word matrix would hold about 10.6 MB after these calls
+    sub = RegisterSubset.aligned(1, 1)
+    inputs = {d: random_states(d, 1, seed=d)[0] for d in range(40, 48)}
+    for cache in (_terms, _orbits, _digits):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        for d, psi in inputs.items():
+            assert len(analytic_reduced(d, sub, psi).parts[0][1]) == 1
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2_000_000
+    assert all(len(_terms(d, 1, 0)[0]) == d - 1 for d in inputs)
+
+
 def test_closed_forms_share_no_reduction_code_with_the_oracle():
     # the sweep's cross-check means something only while the two routes
     # are computed apart; every name listed is the oracle's own, so the list
@@ -501,7 +552,8 @@ def test_closed_forms_share_no_reduction_code_with_the_oracle():
     oracle_names = {
         "_column_keys", "_gram_plan", "_reduce_blocks", "_runs", "_kept_side", "encode",
         "encode_support", "oracle_reduced", "reduce_encoded", "reduce_support",
-        "_support_tables", "_support_plan", "_encoded_plan", "_TABLES", "_ByteCache",
+        "_encoded_support", "_support_tables", "_support_plan", "_encoded_plan", "_TABLES",
+        "_ByteCache",
     }
     assert oracle_names <= set(vars(protocol))
     assert not oracle_names & set(vars(analytic))

@@ -1,6 +1,8 @@
 """Register subsets, encoder, and the contraction oracle."""
 
+import dataclasses
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -14,10 +16,12 @@ from cloneleak.pauli import PauliWord, PureState, enc_coefficient_value, random_
 from cloneleak.protocol import (
     BOTH,
     MEMBERSHIPS,
+    NOISE,
     NONE,
     ORACLE_CACHE_BYTES,
     STATE_AMPLITUDE_LIMIT,
     CapacityError,
+    SIGNAL,
     ReducedState,
     RegisterSubset,
     encode,
@@ -143,6 +147,27 @@ def test_subset_validation():
         RegisterSubset(("none", "none"))
     with pytest.raises(ValueError):
         RegisterSubset(("signal", "sig"))
+
+
+def test_subset_layout_is_computed_once():
+    # the (labels, axes) layout was once rebuilt on every size, kept_labels
+    # and kept_axes call; it is now kept per instance, outside the fields
+    sub = RegisterSubset.from_labels("N2,S1,N1", 3)
+    labels, axes = sub.kept_labels(), sub.kept_axes()
+    assert labels == ("S1", "N1", "N2") and axes == (1, 2, 4) and sub.size == 3
+    assert sub.kept_labels() is labels and sub.kept_axes() is axes
+    fresh = RegisterSubset(sub.members)  # its layout not yet computed
+    assert fresh == sub and hash(fresh) == hash(sub) and len({fresh, sub}) == 1
+    assert repr(fresh) == repr(sub) and dataclasses.asdict(sub) == {"members": sub.members}
+    copies = (pickle.loads(pickle.dumps(sub)), pickle.loads(pickle.dumps(fresh)),
+              dataclasses.replace(sub), dataclasses.replace(fresh))
+    for copy in copies:
+        assert copy == sub and hash(copy) == hash(sub)
+        assert (copy.kept_labels(), copy.kept_axes(), copy.size) == (labels, axes, 3)
+    other = dataclasses.replace(sub, members=(SIGNAL, NONE, NOISE))
+    assert other != sub and (other.kept_labels(), other.kept_axes()) == (("S1", "N3"), (1, 6))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sub._layout = ((), ())
 
 
 def test_encoder_unitarity():
@@ -514,9 +539,13 @@ def test_reduced_state_copies_the_callers_matrix():
 
 def test_reduced_state_rows_must_be_integers():
     # a float row 0.5 was once truncated to row 0 by .matrix, bool rows were
-    # read as 0 and 1, and trace_distance raised a bare IndexError
+    # read as 0 and 1, and trace_distance raised a bare IndexError; object
+    # rows raise too, and so do timedelta64 rows, though numpy's issubdtype
+    # counts them as integers
     blocks = 0.5 * np.eye(2)[None]
-    for rows in (np.array([[0.5, 1.0]]), np.array([[False, True]])):
+    bad = ([[0.5, 1.0]], [[False, True]], np.array([[0, 1]], dtype=object),
+           np.array([[0, 1]], dtype="m8"))
+    for rows in map(np.asarray, bad):
         with pytest.raises(ValueError, match=f"integers, got {rows.dtype}"):
             trace_distance(ReducedState(2, ("S1",), parts=[(rows, blocks)]), np.eye(2) / 2)
 
@@ -813,8 +842,9 @@ def test_reduce_support_validation():
     sub = RegisterSubset.from_labels("S1", 1)
     with pytest.raises(ValueError, match="amplitudes at"):
         reduce_support(index, values[:-1], 2, 1, sub)
-    with pytest.raises(ValueError, match="flat indices"):
-        reduce_support(index.astype(float), values, 2, 1, sub)
+    for dtype in (float, bool, object, "m8"):
+        with pytest.raises(ValueError, match="flat indices"):
+            reduce_support(index.astype(dtype), values, 2, 1, sub)
     with pytest.raises(ValueError, match="distinct"):
         reduce_support(np.zeros_like(index), values, 2, 1, sub)
     with pytest.raises(ValueError, match="lie in"):
@@ -833,6 +863,43 @@ def test_reduce_support_validation():
     # any integer type of index is read by value
     small = reduce_support(index.astype(np.uint8), values, 2, 1, sub)
     assert np.array_equal(small.matrix, reduce_support(index, values, 2, 1, sub).matrix)
+
+
+def _same_bits(a: ReducedState, b: ReducedState) -> bool:
+    pairs = [(x, y) for one, two in zip(a.parts, b.parts) for x, y in zip(one, two)]
+    return len(a.parts) == len(b.parts) and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in pairs
+    )
+
+
+def test_oracle_reduced_hands_the_kept_index_over_uncopied(monkeypatch):
+    # oracle_reduced once copied the encoder's d^(n+2) flat indices only for
+    # the kernel to compare the copy with the kept index entry by entry; the
+    # kernel now gets the kept array itself, which it must leave as it was
+    seen = []
+
+    def spy(index, values, d, n, subset):
+        seen.append(index is _support_tables(d, n)[-1])
+        return reduce_support(index, values, d, n, subset)
+
+    monkeypatch.setattr(protocol, "reduce_support", spy)
+    cases = ((7, 3, "S1,S2,N3"), (6, 3, "N1,S2,S3"), (5, 3, "S1,N2,N3"), (4, 4, "S1,N2,S3,N4"),
+             (3, 5, "S1,S2,N3,N4,S5"), (2, 8, "S1,N2,S3,N4,S5,N6,S7,N8"),
+             (6, 3, "S1,N1,S3"), (5, 3, "N2"))
+    for d, n, labels in cases:
+        sub = RegisterSubset.from_labels(labels, n)
+        index = _support_tables(d, n)[-1]
+        before = index.copy()
+        for psi in (random_states(d, 1, seed=d * n)[0], PureState.basis(d, 1)):
+            got = oracle_reduced(psi, d, n, sub)
+            support = encode_support(psi, d, n)
+            assert support[0] is not index
+            assert _same_bits(got, reduce_support(*support, d, n, sub)), (d, n, labels)
+        # the basis input holds exact zeros, so its register is planned alone
+        assert (support[1] == 0).any()
+        assert _support_tables(d, n)[-1] is index and not index.flags.writeable
+        assert np.array_equal(index, before)
+    assert seen == [True] * 2 * len(cases)
 
 
 def test_an_empty_support_reduces_to_zero_states():
