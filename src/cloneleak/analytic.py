@@ -27,11 +27,11 @@ aligned_reduced), and a missing-pair entry compares shifts, noise sums and
 lone digits (see missing_pair_subset_reduced).
 
 What depends only on the shape is built once and kept, apart from the
-oracle's store: the digit table per (d, kept count), and per aligned
-(d, p, q) the orbits and the leak terms with the 2d roots of unity.  None
-holds a word matrix, a phase table or any value of a state, so an aligned
-request pays for its word images, its expectations and the entries they
-write; one with no leak term writes only its diagonal.
+oracle's store: the digit table per (d, kept count), and one entry per
+aligned (d, p, q) with its orbits, digit sums, leak terms and 2d roots of
+unity.  None holds a word matrix, a phase table or any value of a state,
+so an aligned request pays for its word images, its expectations and the
+entries they write; one with no leak term writes only its diagonal.
 """
 
 from __future__ import annotations
@@ -113,18 +113,23 @@ def _digits(d: int, count: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def _orbits(d: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of an aligned state, p signals then q noises, read-only.
+def _aligned_shape(
+    d: int, p: int, q: int
+) -> tuple[np.ndarray, np.ndarray, tuple[LeakTerm, ...], np.ndarray]:
+    """What an aligned state, p signals then q noises, owes to its shape alone.
 
     Every term moves a digit c_i by a multiple of s_i, +1 on a signal and
     -1 on a noise, so the state is zero outside the orbits {c + t*s : t in
     Z_d} of the columns.  Each orbit is listed from its column with first
     digit 0, one of the first d^(n-1) indices, so member t has first digit
     t*s_1 and the orbits partition the side.  Returns the (d^(n-1), d) rows
-    of the orbits and each member's digit sum.  Cached per (d, p, q) like
-    ``_digits``, with room for well over the 45 keys of the aligned grid
-    d 2..6 x n 1..3, which a sweep visits in turn, so no pass evicts what
-    the next one needs; an entry takes at most 64 KB, at side 4096.
+    of the orbits, each member's digit sum, ``leaked_words`` of the
+    congruence solutions and the powers exp(i*pi*r/d) for r in 0..2d-1, the
+    arrays read-only.  Cached per (d, p, q) like ``_digits``, with room for
+    well over the 45 keys of the aligned grid d 2..6 x n 1..3, which a sweep
+    visits in turn, so no pass evicts what the next one needs.  An entry
+    holds no word matrix or phase table: at most 64 KB of orbits at side
+    4096, and d - 1 terms and 2d roots, a few KB at d = 56.
     """
     n = p + q
     digits = _digits(d, n)
@@ -132,24 +137,10 @@ def _orbits(d: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     bases = digits[: len(digits) // d]
     rowsets = (bases[:, None, :] + np.arange(d)[:, None] * sign) % d @ d ** np.arange(n - 1, -1, -1)
     digit_sum = digits.sum(axis=1)[rowsets]
-    for table in (rowsets, digit_sum):
-        table.flags.writeable = False
-    return rowsets, digit_sum
-
-
-@functools.lru_cache(maxsize=128)
-def _terms(d: int, p: int, q: int) -> tuple[tuple[LeakTerm, ...], np.ndarray]:
-    """The leak terms of an aligned state, p signals then q noises, and the 2d roots.
-
-    Returns ``leaked_words`` of the congruence solutions and the read-only
-    powers exp(i*pi*r/d) for r in 0..2d-1.  Cached per (d, p, q) beside
-    ``_orbits`` and with its room; an entry holds at most d - 1 terms and
-    2d roots, a few KB at d = 56 and no word matrix or phase table.
-    """
-    terms = leaked_words(solve_aligned_system(d, p, q))
     roots = np.exp(1j * np.pi * np.arange(2 * d) / d)
-    roots.flags.writeable = False
-    return terms, roots
+    for table in (rowsets, digit_sum, roots):
+        table.flags.writeable = False
+    return rowsets, digit_sum, leaked_words(solve_aligned_system(d, p, q)), roots
 
 
 def _aligned_blocks(
@@ -157,22 +148,21 @@ def _aligned_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The aligned closed form as its blocks: ``(rowsets, blocks)``.
 
-    The blocks are the orbits of ``_orbits``, whose (side/d, d) rows are
-    ``rowsets``.  Term (a, b) writes, for each column, the entry whose row
-    is a members further along the column's orbit, and the diagonal holds
-    the background 1/d^n.  Each block is then replaced by its Hermitian
+    The blocks are the orbits of ``_aligned_shape``, whose (side/d, d) rows
+    are ``rowsets``.  Term (a, b) writes, for each column, the entry whose
+    row is a members further along the column's orbit, and the diagonal
+    holds the background 1/d^n.  Each block is then replaced by its Hermitian
     part, so the state is exactly Hermitian; with no term, the real diagonal
-    already is.  The terms and roots come from ``_terms`` and the orbits
-    from ``_orbits``, both cached per (d, p, q).  The (states, side/d, d, d)
-    blocks are what :func:`aligned_reduced`'s states hold.
+    already is.  The orbits, terms and roots come from one ``_aligned_shape``
+    lookup per (d, p, q).  The (states, side/d, d, d) blocks are what
+    :func:`aligned_reduced`'s states hold.
     """
     if not subset.is_aligned:
         raise ValueError(f"subset {subset} is not aligned")
     n, p = subset.n, subset.signal_count
     require_dim(d)  # before the caches: 2.0 would find 2's entries
     states = require_states(psi, d)
-    terms, roots = _terms(d, p, n - p)
-    rowsets, digit_sum = _orbits(d, p, n - p)
+    rowsets, digit_sum, terms, roots = _aligned_shape(d, p, n - p)
     side = rowsets.size
     members = np.arange(d)
     blocks = np.zeros((len(states), len(rowsets), d, d), dtype=complex)

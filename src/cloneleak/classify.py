@@ -189,8 +189,8 @@ def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.n
     This is the sweep's kernel on one pair, over the blocks of ``_stacks``:
     a ReducedState is compared by its parts, and a plain array is one part
     over every row, so a dense pair is one block, the Hermitian part itself.
-    Inputs must be square, of one side and finite; two ReducedStates must
-    also share ``d`` and ``labels``.
+    Inputs must be square, non-empty, of one side and finite; two
+    ReducedStates must also share ``d`` and ``labels``.
     """
     if isinstance(first, ReducedState) and isinstance(second, ReducedState):
         if (first.d, first.labels) != (second.d, second.labels):
@@ -207,6 +207,8 @@ def trace_distance(first: ReducedState | np.ndarray, second: ReducedState | np.n
         matrix = np.asarray(state, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"not a square matrix: shape {matrix.shape}")
+        if not len(matrix):
+            raise ValueError("empty matrix: a state has side at least 1")
         sides.append(len(matrix))
         parts.append(([k], np.arange(len(matrix))[None], matrix[None, None]))
     side, other = sides
@@ -466,21 +468,6 @@ def _max_distance(
     return best, False
 
 
-def _partition(rowsets: Sequence[np.ndarray], side: int) -> np.ndarray | None:
-    """Each of ``side`` rows' block, named by its smallest row, or -1 off every block.
-
-    ``rowsets`` are (groups, c) arrays of rows, one block a row.  None when
-    two blocks share a row, so that equal labels mean equal partitions.
-    """
-    rows = np.concatenate([sets.ravel() for sets in rowsets])
-    if np.bincount(rows, minlength=side).max() > 1:
-        return None
-    label = np.full(side, -1)
-    for sets in rowsets:
-        label[sets] = sets.min(axis=1, keepdims=True)
-    return label
-
-
 def evaluate_subset(
     d: int,
     subset: RegisterSubset,
@@ -500,12 +487,12 @@ def evaluate_subset(
     oracle's blocks, the closed form's and, on an uninformative row, the
     maximally mixed state's 1 x 1 blocks over the partition their rows
     join.  An aligned closed form is ``analytic._aligned_blocks``, its
-    orbit blocks, and when the oracle's row-sets partition the rows, an
-    integer check that the orbits partition them alike notes a row where
-    they do not.  A missing-pair closed form is one input-free state, so
-    every sample's pair names it.  Each check is one ``_max_distance`` call
-    naming its pairs by two index arrays into the stacks, with ``tol`` and
-    ``witness`` from ``config``; a distance at or below ``tol`` may be a
+    orbit blocks, and an integer check notes a row where ``_labels`` joins
+    the orbits into other blocks than the oracle's row-sets.  A
+    missing-pair closed form is one input-free state, so every sample's
+    pair names it.  Each check is one ``_max_distance`` call naming its
+    pairs by two index arrays into the stacks, with ``tol`` and ``witness``
+    from ``config``; a distance at or below ``tol`` may be a
     certified upper bound, which its ``*_bound`` field says.  A NaN
     distance fails its gate and gets a note.
     """
@@ -543,8 +530,8 @@ def evaluate_subset(
     total = count
     if not cls.authorized and subset.touches_all_pairs:
         rowsets, blocks = analytic._aligned_blocks(d, subset, states)
-        label = _partition([sets for _, sets, _ in parts], side)
-        if label is not None and not np.array_equal(_partition([rowsets], side), label):
+        label = _labels([sets for _, sets, _ in parts], side)
+        if not np.array_equal(_labels([rowsets], side), label):
             notes.append("closed form's block partition differs from oracle's")
         closed, total = own + count, 2 * count
         parts.append((closed, rowsets, blocks))

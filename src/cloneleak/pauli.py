@@ -36,6 +36,8 @@ class PauliWord:
 
     def __post_init__(self) -> None:
         require_dim(self.d)
+        for name in ("a", "b", "r"):
+            require_int(getattr(self, name), name)
         object.__setattr__(self, "a", self.a % self.d)
         object.__setattr__(self, "b", self.b % self.d)
         object.__setattr__(self, "r", self.r % (2 * self.d))
@@ -167,6 +169,8 @@ def enc_coefficient(d: int, k: int, l: int) -> int:
     on Z_d x Z_d.
     """
     require_dim(d)
+    require_int(k, "k")
+    require_int(l, "l")
     dl = delta(d)
     return (-(k * (k + dl) + l * (l + dl))) % (2 * d)
 

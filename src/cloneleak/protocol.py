@@ -109,10 +109,15 @@ def require_pairs(n: int) -> None:
 
 
 def parse_label(label: str) -> tuple[str, int]:
-    """Split a qudit label like 'S1' or 'N12' into (kind, pair index)."""
+    """Split a qudit label like 'S1' or 'N12' into (kind, pair index).
+
+    The index is ASCII digits only: ``str.isdigit`` alone also passes other
+    scripts' digits, which ``int`` reads, and superscripts, which it rejects.
+    """
     lab = label.strip()
-    if len(lab) >= 2 and lab[0].upper() in ("S", "N") and lab[1:].isdigit():
-        return lab[0].upper(), int(lab[1:])
+    index = lab[1:]
+    if len(lab) >= 2 and lab[0].upper() in ("S", "N") and index.isascii() and index.isdigit():
+        return lab[0].upper(), int(index)
     raise ValueError(f"bad qudit label {label!r}; expected like S1 or N2")
 
 
@@ -281,16 +286,22 @@ class ReducedState:
         return float(np.sum(m * m.T).real)
 
     def check(self, atol: float = 1e-10) -> "ReducedState":
-        """Assert hermiticity, unit trace, and positivity; return self."""
+        """Assert finite entries, hermiticity, unit trace, and positivity; return self.
+
+        Each gate is written so that a NaN fails it.
+        """
         m = self.matrix
+        if not np.isfinite(m).all():
+            i, j = np.argwhere(~np.isfinite(m))[0]
+            raise ValueError(f"non-finite entry {m[i, j]} at ({i}, {j})")
         dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > atol:
+        if not dev <= atol:
             raise ValueError(f"not hermitian: deviation {dev:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > atol:
+        if not abs(tr - 1.0) <= atol:
             raise ValueError(f"trace is {tr!r}, expected 1")
         lo = float(np.min(np.linalg.eigvalsh(m)))
-        if lo < -atol:
+        if not lo >= -atol:
             raise ValueError(f"negative eigenvalue {lo:.3e}")
         return self
 

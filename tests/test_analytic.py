@@ -11,8 +11,7 @@ from cloneleak import analytic, protocol
 from cloneleak.analytic import (
     LeakTerm,
     _aligned_blocks,
-    _orbits,
-    _terms,
+    _aligned_shape,
     aligned_coefficient_exponent,
     aligned_reduced,
     _digits,
@@ -503,7 +502,7 @@ def test_aligned_states_are_exactly_hermitian():
 
 
 def test_aligned_blocks_are_the_same_from_cold_and_warm_caches():
-    # the leak terms and roots are cached per (d, p, q) beside the orbits,
+    # the orbits, leak terms and roots are cached in one entry per (d, p, q),
     # and a state with no leak term skips the Hermitian step: its blocks
     # hold exactly 1/side on the diagonal and 0 elsewhere
     free = leaky = 0
@@ -511,13 +510,13 @@ def test_aligned_blocks_are_the_same_from_cold_and_warm_caches():
         states = random_states(d, 2, seed=11 * d + n)
         for members in itertools.product((SIGNAL, NOISE), repeat=n):
             sub = RegisterSubset(members)
-            for cache in (_terms, _orbits, _digits):
+            for cache in (_aligned_shape, _digits):
                 cache.cache_clear()
             cold_rows, cold = _aligned_blocks(d, sub, states)
             warm_rows, warm = _aligned_blocks(d, sub, states)
             assert warm_rows is cold_rows and cold.tobytes() == warm.tobytes(), (d, n, members)
             p = sub.signal_count
-            if _terms(d, p, n - p)[0]:
+            if _aligned_shape(d, p, n - p)[2]:
                 leaky += 1
                 continue
             free += 1
@@ -532,7 +531,7 @@ def test_closed_form_caches_hold_no_word_matrices():
     # term's d x d word matrix would hold about 10.6 MB after these calls
     sub = RegisterSubset.aligned(1, 1)
     inputs = {d: random_states(d, 1, seed=d)[0] for d in range(40, 48)}
-    for cache in (_terms, _orbits, _digits):
+    for cache in (_aligned_shape, _digits):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -542,7 +541,7 @@ def test_closed_form_caches_hold_no_word_matrices():
     finally:
         tracemalloc.stop()
     assert held < 2_000_000
-    assert all(len(_terms(d, 1, 0)[0]) == d - 1 for d in inputs)
+    assert all(len(_aligned_shape(d, 1, 0)[2]) == d - 1 for d in inputs)
 
 
 def test_closed_forms_share_no_reduction_code_with_the_oracle():

@@ -189,6 +189,10 @@ def test_trace_distance_accepts_reduced_states():
     for shape in ((2, 3), (3,), (2, 2, 2)):
         with pytest.raises(ValueError, match=rf"not a square matrix: shape \({shape[0]},"):
             trace_distance(np.zeros(shape), np.zeros(shape))
+    # an empty pair once reached the layout and raised a bare IndexError
+    for first, second in ((np.zeros((0, 0)), np.zeros((0, 0))), (np.zeros((0, 0)), rho)):
+        with pytest.raises(ValueError, match="empty matrix"):
+            trace_distance(first, second)
 
 
 def test_trace_distance_rejects_states_over_different_qudits():

@@ -27,6 +27,12 @@ def test_classify_text_output(capsys):
     assert err == ""
 
 
+def test_classify_rejects_a_label_with_non_ascii_digits(capsys):
+    code, out, err = run(capsys, "classify", "-d", "3", "-n", "3", "--subset", "S\u0663")
+    assert code == 2 and out == ""
+    assert "bad qudit label" in err
+
+
 def test_classify_json_output(capsys):
     code, out, _ = run(capsys, "classify", "-d", "5", "-n", "2", "--subset", "S1,N2", "--json")
     assert code == 0

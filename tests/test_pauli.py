@@ -71,6 +71,20 @@ def test_dimension_mismatch_rejected():
         PauliWord(2, a=1) * PauliWord(3, a=1)
 
 
+def test_word_and_coefficient_exponents_must_be_integers():
+    # a float exponent once reached matrix() as a bad index, a float phase
+    # gave a non-root, and enc_coefficient(3, 1.5, 0) returned 2.25
+    for bad in (1.5, 0.5, True, np.int64(1), "1"):
+        for name in ("a", "b", "r"):
+            with pytest.raises(TypeError, match=f"{name} must be an int"):
+                PauliWord(3, **{name: bad})
+        with pytest.raises(TypeError, match="k must be an int"):
+            enc_coefficient(3, bad, 0)
+        with pytest.raises(TypeError, match="l must be an int"):
+            enc_coefficient(3, 0, bad)
+    assert PauliWord(3, a=-1, b=4, r=7) == PauliWord(3, a=2, b=1, r=1)
+
+
 def test_order_d_relations():
     for d in range(2, 8):
         x = PauliWord(d, a=1)

@@ -88,8 +88,10 @@ def test_kept_labels_and_axes_agree():
 def test_parse_label():
     assert parse_label("S1") == ("S", 1)
     assert parse_label(" n12 ") == ("N", 12)
-    for bad in ("", "A", "S", "X1", "S0x", "1S"):
-        with pytest.raises(ValueError):
+    # str.isdigit also passes an Arabic-Indic 3, a fullwidth 1 and a
+    # superscript 2; int reads the first two as 3 and 1 and raises on the third
+    for bad in ("", "A", "S", "X1", "S0x", "1S", "S\u0663", "S\uff11", "S\u00b2", "N1\u0663"):
+        with pytest.raises(ValueError, match="bad qudit label"):
             parse_label(bad)
 
 
@@ -342,6 +344,25 @@ def test_reduced_state_record():
         ReducedState(2, ("S1", "N1"), np.eye(2) / 2)
     with pytest.raises(ValueError):
         ReducedState(2, ("S1",), np.array([[1.0, 1.0], [0.0, 0.0]])).check()
+
+
+def test_check_rejects_non_finite_entries():
+    # NaN fails every comparison, so gates written as x > atol once passed
+    # a NaN state, and an inf entry raised a RuntimeWarning in the deviation
+    nan, inf = np.nan, np.inf
+    for bad, at in [
+        ([[nan, 0], [0, 0.5]], (0, 0)),
+        ([[0.5, nan], [nan, 0.5]], (0, 1)),
+        ([[nan, nan], [nan, nan]], (0, 0)),
+        ([[0.5, 0], [0, inf]], (1, 1)),
+        ([[0.5, -inf], [0, 0.5]], (0, 1)),
+        ([[0.5, 0], [complex(0, inf), 0.5]], (1, 0)),
+    ]:
+        rho = ReducedState(2, ("S1",), np.array(bad, dtype=complex))
+        with pytest.raises(ValueError, match=rf"non-finite entry .* at \({at[0]}, {at[1]}\)"):
+            rho.check()
+    with pytest.raises(ValueError, match="not hermitian"):
+        ReducedState(2, ("S1",), np.eye(2) / 2).check(atol=nan)
 
 
 def test_purity_is_the_trace_of_the_square():
